@@ -33,17 +33,15 @@
 // scaling table lands in bench_results/dist_scaling_<preset>.tsv and any
 // mismatch makes the exit code non-zero.
 //
-// Engine phase (DESIGN.md §14): --engine=both (the default) adds two legs
-// that train under the graph-compiled execution engine (CT_EXEC_ENGINE
-// semantics via ScopedExecEngine) at 1 and --threads threads, demands
-// bitwise identity with the tape baseline (beta / theta / loss /
-// coherence), and reports per-step wall time, per-step heap allocations
-// (the >=10x arena gate, enforced by the exit code), pool hits, fused ops,
-// hoist hits, and peak arena bytes. The comparison table lands in
-// bench_results/graph_engine_<preset>.tsv. --engine=tape skips the phase.
+// Arena gate (DESIGN.md §14): both thread legs count tensor-buffer heap
+// allocations and training-arena pool hits per training step, first
+// (warm-up) epoch excluded, and print them with the per-step wall time.
+// With two or more epochs the exit code is non-zero unless pool hits are
+// >= 10x heap allocations per step on every leg, so the bench fails when
+// the arena stops recycling buffers.
 //
 // Model axis: --model=<zoo name> (default contratopic) points every leg —
-// serial/parallel, graph, chaos, distributed — at another model from
+// serial/parallel, chaos, distributed — at another model from
 // core::CreateModel, so the whole bitwise gate battery runs against any
 // zoo member (the model-zoo invariance contract, e.g. --model=clntm or
 // --model=tsctm). --loss-weighting=moo switches neural models from the
@@ -54,8 +52,7 @@
 // Usage: bench_parallel_training [--preset=20ng-sim] [--threads=4]
 //        [--epochs=...] [--docs=...] [--telemetry=<path>]
 //        [--kill-at-epoch=N] [--resume] [--workers=N] [--dist-chaos]
-//        [--engine=both|tape|graph] [--model=<zoo name>]
-//        [--loss-weighting=fixed|moo]
+//        [--model=<zoo name>] [--loss-weighting=fixed|moo]
 // Writes bench_results/parallel_training_<run>.tsv and
 // bench_results/telemetry_<run>.jsonl (override with --telemetry=),
 // where <run> is the preset plus non-default model/weighting tags.
@@ -75,8 +72,6 @@
 #include "bench/harness.h"
 #include "dist/trainer.h"
 #include "tensor/arena.h"
-#include "tensor/engine.h"
-#include "tensor/graph.h"
 #include "eval/clustering.h"
 #include "serve/checkpoint.h"
 #include "eval/metrics.h"
@@ -96,7 +91,6 @@ namespace {
 
 // One full pipeline run at a fixed pool size, with per-stage timings.
 struct LegResult {
-  tensor::ExecEngine engine = tensor::ExecEngine::kTape;
   int threads = 0;
   double npmi_seconds = 0.0;
   double train_seconds = 0.0;
@@ -107,15 +101,25 @@ struct LegResult {
   double diversity = 0.0;
   tensor::Tensor beta;
   tensor::Tensor theta;
-  // Training-stage allocation accounting (the arena gate) and, for the
-  // graph engine, the session's execution stats. `total_steps` covers the
-  // whole run (for step timing); `train_steps` is the steady-state alloc
-  // window, which excludes the first (pool warm-up) epoch when possible.
+  // Training-stage allocation accounting (the arena gate). `total_steps`
+  // covers the whole run (for step timing); `train_steps` is the alloc
+  // window, which excludes the first (pool warm-up) epoch when the run has
+  // more than one (`steady_state`).
   int total_steps = 1;
   int train_steps = 1;
+  bool steady_state = false;
   uint64_t train_heap_allocs = 0;
   uint64_t train_pool_hits = 0;
-  graph::ExecStats graph_stats;
+
+  double StepMs() const {
+    return train_seconds * 1000.0 / std::max(1, total_steps);
+  }
+  double HeapAllocsPerStep() const {
+    return static_cast<double>(train_heap_allocs) / std::max(1, train_steps);
+  }
+  double PoolHitsPerStep() const {
+    return static_cast<double>(train_pool_hits) / std::max(1, train_steps);
+  }
 };
 
 // Builds the model under bench (--model=) with the dataset-appropriate
@@ -147,26 +151,21 @@ std::string RunTag(const std::string& dataset_name,
   return tag;
 }
 
-LegResult RunLeg(tensor::ExecEngine engine, int threads,
-                 const bench::ExperimentContext& context,
+LegResult RunLeg(int threads, const bench::ExperimentContext& context,
                  const bench::BenchConfig& bench_config,
                  util::RunTelemetry* telemetry) {
-  tensor::ScopedExecEngine scoped_engine(engine);
   util::ThreadPool::SetGlobalNumThreads(threads);
   LegResult leg;
-  leg.engine = engine;
   leg.threads = util::ThreadPool::Global().num_threads();
 
   telemetry->RecordRunStart(
-      util::StrFormat("parallel_training[engine=%s,threads=%d]",
-                      tensor::ExecEngineName(engine), leg.threads),
+      util::StrFormat("parallel_training[threads=%d]", leg.threads),
       {{"dataset", context.config.name},
        {"model", bench_config.model},
        {"loss_weighting",
         bench_config.loss_weighting == topicmodel::LossWeighting::kMoo
             ? "moo"
             : "fixed"},
-       {"engine", tensor::ExecEngineName(engine)},
        {"threads", std::to_string(leg.threads)},
        {"epochs", std::to_string(bench_config.train.epochs)},
        {"topics", std::to_string(bench_config.train.num_topics)},
@@ -195,8 +194,7 @@ LegResult RunLeg(tensor::ExecEngine engine, int threads,
   // more than one epoch we snapshot the counters at the first epoch
   // boundary — via the auto-checkpoint hook with a sink that saves
   // nothing — and attribute only the remaining epochs to the per-step
-  // rate. The hook runs identically on every leg, so the tape/graph
-  // comparison stays apples-to-apples.
+  // rate.
   auto* neural = dynamic_cast<topicmodel::NeuralTopicModel*>(model.get());
   tensor::AllocStats allocs_warm;
   int epoch_boundaries_seen = 0;
@@ -218,6 +216,7 @@ LegResult RunLeg(tensor::ExecEngine engine, int threads,
     leg.train_seconds = span.ElapsedSeconds();
     leg.final_loss = stats.final_loss;
     if (epoch_boundaries_seen >= 1 && bench_config.train.epochs > 1) {
+      leg.steady_state = true;
       leg.train_steps = (bench_config.train.epochs - 1) * steps_per_epoch;
       leg.train_heap_allocs =
           allocs_after.heap_allocs - allocs_warm.heap_allocs;
@@ -226,11 +225,6 @@ LegResult RunLeg(tensor::ExecEngine engine, int threads,
       leg.train_heap_allocs =
           allocs_after.heap_allocs - allocs_before.heap_allocs;
       leg.train_pool_hits = allocs_after.pool_hits - allocs_before.pool_hits;
-    }
-    if (engine == tensor::ExecEngine::kGraph) {
-      // The training loop's GraphSession publishes its stats on destruction,
-      // which happens when Train() returns.
-      leg.graph_stats = graph::LastSessionStats();
     }
   }
   leg.beta = model->Beta();
@@ -615,7 +609,6 @@ int main(int argc, char** argv) {
   const std::string dataset_name =
       flags.GetString("preset", flags.GetString("dataset", "20ng-sim"));
   const int parallel_threads = flags.GetInt("threads", 4);
-  const std::string engine_axis = flags.GetString("engine", "both");
   int kill_epoch = flags.GetInt("kill-at-epoch", 0);
   const bool resume = flags.GetBool("resume", false);
   const int dist_workers = flags.GetInt("workers", 0);
@@ -648,89 +641,27 @@ int main(int argc, char** argv) {
   util::MetricsRegistry::Global().Reset();
   util::Tracer::Global().Reset();
 
-  const LegResult serial =
-      RunLeg(tensor::ExecEngine::kTape, 1, context, bench_config, &telemetry);
-  const LegResult parallel = RunLeg(tensor::ExecEngine::kTape,
-                                    parallel_threads, context, bench_config,
-                                    &telemetry);
+  const LegResult serial = RunLeg(1, context, bench_config, &telemetry);
+  const LegResult parallel =
+      RunLeg(parallel_threads, context, bench_config, &telemetry);
 
-  // Engine phase: the graph-compiled engine must reproduce the tape
-  // bitwise and cut per-step heap allocations by >=10x via the arena
-  // (DESIGN.md §14). Both gates feed the exit code. The 1-thread graph
-  // leg runs first so the ambient pool size ends at parallel_threads,
-  // matching what the chaos phase below expects.
-  bool engine_ok = true;
-  const bool engine_phase = engine_axis != "tape";
-  std::vector<LegResult> graph_legs;
-  if (engine_phase) {
-    graph_legs.push_back(RunLeg(tensor::ExecEngine::kGraph, 1, context,
-                                bench_config, &telemetry));
-    graph_legs.push_back(RunLeg(tensor::ExecEngine::kGraph, parallel_threads,
-                                context, bench_config, &telemetry));
-
-    const auto allocs_per_step = [](const LegResult& leg) {
-      return static_cast<double>(leg.train_heap_allocs) /
-             std::max(1, leg.train_steps);
-    };
-    util::TableWriter engine_table(
-        {"Engine[threads]", "train (s)", "step (ms)", "heap allocs/step",
-         "pool hits/step", "peak arena (MB)", "ops fused", "hoist hits",
-         "beta_mismatches", "theta_mismatches", "loss_equal"});
-    bool engine_identical = true;
-    double graph_allocs_per_step = 0.0;
-    const auto add_engine_row = [&](const LegResult& leg) {
-      const int64_t beta_diff = CountMismatches(serial.beta, leg.beta);
-      const int64_t theta_diff = CountMismatches(serial.theta, leg.theta);
-      const bool leg_loss_equal = leg.final_loss == serial.final_loss;
-      const bool leg_identical =
-          beta_diff == 0 && theta_diff == 0 && leg_loss_equal &&
-          leg.mean_coherence == serial.mean_coherence;
-      if (leg.engine == tensor::ExecEngine::kGraph) {
-        engine_identical = engine_identical && leg_identical;
-        graph_allocs_per_step =
-            std::max(graph_allocs_per_step, allocs_per_step(leg));
-      }
-      engine_table.AddRow(
-          util::StrFormat("%s[%d]", tensor::ExecEngineName(leg.engine),
-                          leg.threads),
-          {leg.train_seconds,
-           leg.train_seconds * 1000.0 / std::max(1, leg.total_steps),
-           allocs_per_step(leg),
-           static_cast<double>(leg.train_pool_hits) /
-               std::max(1, leg.train_steps),
-           static_cast<double>(leg.graph_stats.peak_arena_bytes) /
-               (1024.0 * 1024.0),
-           static_cast<double>(leg.graph_stats.ops_fused),
-           static_cast<double>(leg.graph_stats.hoist_hits),
-           static_cast<double>(beta_diff), static_cast<double>(theta_diff),
-           leg_loss_equal ? 1.0 : 0.0});
-    };
-    add_engine_row(serial);
-    add_engine_row(parallel);
-    for (const LegResult& leg : graph_legs) add_engine_row(leg);
-
-    const double tape_allocs_per_step = allocs_per_step(serial);
-    // >=10x fewer per-step heap allocations than the tape (deterministic:
-    // allocation counts don't depend on timing). Phrased as a product so
-    // graph_allocs_per_step == 0 passes without a division by zero.
-    const bool arena_gate =
-        tape_allocs_per_step >= 10.0 * graph_allocs_per_step &&
-        tape_allocs_per_step > 0.0;
-    engine_ok = engine_identical && arena_gate;
-    bench::EmitTable(
-        util::StrFormat("Graph vs tape execution engine on %s "
-                        "(bitwise + arena gate)",
-                        run_tag.c_str()),
-        "graph_engine_" + run_tag, engine_table);
+  // Arena gate (DESIGN.md §14): after the warm-up epoch the training
+  // arena must serve >= 10x more tensor buffers from its pool than from
+  // the heap. A one-epoch run has no steady state, so it only reports.
+  bool arena_ok = true;
+  for (const LegResult* leg : {&serial, &parallel}) {
+    const double hits = leg->PoolHitsPerStep();
+    const bool leg_ok = hits > 0.0 && hits >= 10.0 * leg->HeapAllocsPerStep();
+    const char* verdict = leg_ok ? "PASS" : "FAIL (arena gate)";
+    if (!leg->steady_state) {
+      verdict = "not gated (needs --epochs >= 2)";
+    } else {
+      arena_ok = arena_ok && leg_ok;
+    }
     std::printf(
-        "engine phase: %s (tape %.1f heap allocs/step, graph %.1f; "
-        "peak arena %.2f MB)\n",
-        engine_ok ? "PASS (graph bitwise identical, >=10x fewer allocs)"
-                  : (engine_identical ? "FAIL (arena gate)"
-                                      : "FAIL (graph diverges from tape)"),
-        tape_allocs_per_step, graph_allocs_per_step,
-        static_cast<double>(graph_legs.front().graph_stats.peak_arena_bytes) /
-            (1024.0 * 1024.0));
+        "arena: tape[%d] %.1f ms/step, %.2f heap allocs/step, %.1f pool "
+        "hits/step -> %s\n",
+        leg->threads, leg->StepMs(), leg->HeapAllocsPerStep(), hits, verdict);
   }
 
   // Chaos phase (optional). --kill-at-epoch= interrupts a third leg with
@@ -853,16 +784,9 @@ int main(int argc, char** argv) {
       {"theta_mismatches", static_cast<double>(theta_diff)},
       {"bitwise_identical", identical ? 1.0 : 0.0},
       {"metrics_finite", finite ? 1.0 : 0.0}};
-  if (engine_phase) {
-    summary.emplace_back("engine_graph_ok", engine_ok ? 1.0 : 0.0);
-    summary.emplace_back(
-        "engine_graph_heap_allocs_per_step",
-        static_cast<double>(graph_legs.front().train_heap_allocs) /
-            std::max(1, graph_legs.front().train_steps));
-    summary.emplace_back(
-        "engine_graph_peak_arena_bytes",
-        static_cast<double>(graph_legs.front().graph_stats.peak_arena_bytes));
-  }
+  summary.emplace_back("arena_ok", arena_ok ? 1.0 : 0.0);
+  summary.emplace_back("heap_allocs_per_step", serial.HeapAllocsPerStep());
+  summary.emplace_back("pool_hits_per_step", serial.PoolHitsPerStep());
   if (chaos_phase) {
     summary.emplace_back("chaos_ok", chaos_ok ? 1.0 : 0.0);
     if (resume) {
@@ -901,7 +825,7 @@ int main(int argc, char** argv) {
       "time-slice one core and speedup ~1.\n",
       hw);
   return identical && finite && telemetry_ok && chaos_ok && dist_ok &&
-                 engine_ok
+                 arena_ok
              ? 0
              : 1;
 }

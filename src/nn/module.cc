@@ -18,14 +18,14 @@ using autodiff::Rsqrt;
 using autodiff::Square;
 
 // Packed W^T (out x in rows, the layout the quantized GEMMs read) in each
-// reduced precision, keyed on the weight node's version so any
-// mutable_value() write (optimizer step, checkpoint restore) invalidates
-// it. Guarded: eval-mode forwards run on serving pool workers.
+// reduced precision, built on first use and dropped whenever the layer
+// enters training mode (the optimizer then rewrites the weight in place).
+// Guarded: eval-mode forwards run on serving pool workers.
 struct LinearQuantCache {
   std::mutex mu;
-  uint64_t bf16_version = ~0ull;
+  bool has_bf16 = false;
   tensor::Bf16Matrix bf16;
-  uint64_t int8_version = ~0ull;
+  bool has_int8 = false;
   tensor::Int8Matrix int8;
 };
 
@@ -71,28 +71,34 @@ Var Linear::Forward(const Var& x) {
 
 Var Linear::QuantizedForward(const Var& x,
                              tensor::ServePrecision precision) {
-  // Forcing the values keeps both execution engines on the same path: the
-  // quantized GEMM runs outside the autodiff graph and the result re-
-  // enters it as a constant (no eval-mode caller differentiates through
-  // a frozen layer).
+  // The quantized GEMM runs outside the autodiff graph and the result
+  // enters it as a constant (no eval-mode caller differentiates through a
+  // frozen layer).
   const Tensor& xv = x.value();
   const float* bias =
       bias_.defined() ? bias_.value().data() : nullptr;
   LinearQuantCache& cache = *quant_cache_;
   std::lock_guard<std::mutex> lock(cache.mu);
-  const uint64_t version = weight_.node()->version;
   if (precision == tensor::ServePrecision::kBf16) {
-    if (cache.bf16_version != version) {
+    if (!cache.has_bf16) {
       cache.bf16 = tensor::Bf16FromTensor(TransposeWeight(weight_.value()));
-      cache.bf16_version = version;
+      cache.has_bf16 = true;
     }
     return Var::Constant(tensor::MatMulBf16T(xv, cache.bf16, bias));
   }
-  if (cache.int8_version != version) {
+  if (!cache.has_int8) {
     cache.int8 = tensor::Int8FromTensor(TransposeWeight(weight_.value()));
-    cache.int8_version = version;
+    cache.has_int8 = true;
   }
   return Var::Constant(tensor::MatMulInt8T(xv, cache.int8, bias));
+}
+
+void Linear::SetTraining(bool training) {
+  Module::SetTraining(training);
+  if (!training) return;
+  std::lock_guard<std::mutex> lock(quant_cache_->mu);
+  quant_cache_->has_bf16 = false;
+  quant_cache_->has_int8 = false;
 }
 
 std::vector<Parameter> Linear::Parameters() {

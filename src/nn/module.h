@@ -61,8 +61,8 @@ class Module {
 
 // Lazily built packed reduced-precision weights for a Linear layer's
 // serving path (module.cc owns the definition). Shared across copies of
-// the layer -- copies share the same weight node, so the cache, keyed on
-// the node's version, stays valid for all of them.
+// the layer -- copies share the same weight node, so one cache serves all
+// of them.
 struct LinearQuantCache;
 
 // Fully connected layer: y = x W + b.
@@ -80,6 +80,9 @@ class Linear : public Module {
          std::string name = "linear", bool with_bias = true);
 
   Var Forward(const Var& x);
+
+  // Entering training mode drops the packed reduced-precision weights.
+  void SetTraining(bool training) override;
 
   std::vector<Parameter> Parameters() override;
 

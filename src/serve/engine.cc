@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "tensor/tensor.h"
 #include "util/fault.h"
@@ -120,7 +121,15 @@ StatusOr<MicroBatcher::Request> InferenceEngine::Canonicalize(
                                      std::to_string(word));
     }
     if (!merged.empty() && merged.back().first == word) {
-      merged.back().second += count;
+      // Sum wide: two large counts for one word must not overflow int.
+      const int64_t total = int64_t{merged.back().second} + count;
+      if (total > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument(
+            "total count " + std::to_string(total) + " for word " +
+            std::to_string(word) + " exceeds " +
+            std::to_string(std::numeric_limits<int>::max()));
+      }
+      merged.back().second = static_cast<int>(total);
     } else {
       merged.emplace_back(word, count);
     }

@@ -1,14 +1,16 @@
 #ifndef CONTRATOPIC_TENSOR_ARENA_H_
 #define CONTRATOPIC_TENSOR_ARENA_H_
 
-// Pooled activation arena for the graph execution engine (DESIGN.md §14.3).
+// Pooled training arena (DESIGN.md §14).
 //
-// The tape engine allocates a fresh heap buffer for every op output,
-// gradient, and backward temporary. The graph engine instead installs a
-// thread-local BufferPool for the duration of a training session: Tensor
-// buffer acquisition and release route through the installed pool, so after
-// the first step every step-shaped buffer is recycled and the steady-state
-// heap-allocation count on the training hot path drops to ~zero.
+// Every autodiff op output, gradient and backward temporary is a fresh
+// Tensor. Left to the heap, a training step would allocate hundreds of
+// buffers. Instead NeuralTopicModel::RunTrainingLoop installs a thread-local
+// BufferPool for the whole run: Tensor buffer acquisition and release route
+// through the installed pool, so after the first step every step-shaped
+// buffer is recycled and the steady-state heap-allocation count on the
+// training hot path drops to ~zero. Backward's early release of
+// intermediate gradients (tensor/autodiff.h) keeps the working set small.
 //
 // The pool is deliberately single-threaded (no locks): it is installed only
 // on the thread that owns the training loop. Pool-thread tensors that are
@@ -21,11 +23,12 @@
 // Buffers are bucketed by size class: small capacities round up to
 // kBufferAlignFloats floats (64 bytes) so equal-shape reuse is exact;
 // capacities above kBufferClassLinearLimitFloats round up to the next
-// power of two so buffers whose sizes drift step to step (e.g. the
-// contrastive term's |candidate-words|^2 kernel gather, which tracks the
-// evolving beta) still share a bucket instead of minting a fresh size
-// class — and a fresh heap allocation — every step. Worst-case internal
-// waste for large buffers is 2x, bounded overall by the retention cap.
+// power of two so buffers whose sizes drift step to step (the contrastive
+// term's K x |candidate-words| beta gather and |candidate-words|^2 kernel
+// gather track the evolving beta) still share a bucket instead of minting
+// a fresh size class — and a fresh heap allocation — every step.
+// Worst-case internal waste for those buffers is 2x, bounded overall by
+// the retention cap.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,9 +41,9 @@ namespace tensor {
 // Size-class granularity: capacities are rounded up to multiples of 16
 // floats (one cache line) on acquisition...
 constexpr size_t kBufferAlignFloats = 16;
-// ...until this limit (16 KB), past which classes double (see file
-// comment: large drifting shapes must share buckets).
-constexpr size_t kBufferClassLinearLimitFloats = 4096;
+// ...until this limit (4 KB), past which classes double (see file
+// comment: drifting shapes must share buckets).
+constexpr size_t kBufferClassLinearLimitFloats = 1024;
 
 inline size_t RoundUpToAlign(size_t n) {
   return (n + kBufferAlignFloats - 1) / kBufferAlignFloats *
@@ -57,8 +60,8 @@ inline size_t BufferSizeClass(size_t n) {
 
 // Process-global tensor-buffer allocation counters (relaxed atomics).
 // heap_allocs counts buffers obtained from the heap; pool_hits counts
-// buffers recycled from an installed pool. The bench's >=10x gate compares
-// per-step heap_allocs deltas between the tape and graph engines.
+// buffers recycled from an installed pool. bench_parallel_training gates on
+// steady-state pool hits being >= 10x heap allocs per training step.
 struct AllocStats {
   uint64_t heap_allocs = 0;
   uint64_t pool_hits = 0;
@@ -106,10 +109,24 @@ class BufferPool {
 };
 
 // Installs `pool` as this thread's buffer pool and returns the previous one
-// (restore it when done; GraphSession does this RAII-style). Passing null
-// uninstalls.
+// (restore it when done; the training loop does this RAII-style). Passing
+// null uninstalls.
 BufferPool* InstallThreadBufferPool(BufferPool* pool);
 BufferPool* ThreadBufferPool();
+
+// Owns a BufferPool and keeps it installed on this thread for its lifetime,
+// restoring the previously installed pool (if any) on destruction.
+class ScopedBufferPool {
+ public:
+  ScopedBufferPool() : prev_(InstallThreadBufferPool(&pool_)) {}
+  ~ScopedBufferPool() { InstallThreadBufferPool(prev_); }
+  ScopedBufferPool(const ScopedBufferPool&) = delete;
+  ScopedBufferPool& operator=(const ScopedBufferPool&) = delete;
+
+ private:
+  BufferPool pool_;
+  BufferPool* prev_;
+};
 
 namespace detail {
 // Tensor storage hooks (tensor.cc). Route through the installed pool when

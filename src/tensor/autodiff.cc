@@ -1,15 +1,11 @@
 #include "tensor/autodiff.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <unordered_set>
 #include <utility>
 
-#include "tensor/graph.h"
 #include "tensor/kernels.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -30,20 +26,15 @@ namespace {
 constexpr int64_t kGradReduceGridRows = 256;
 }  // namespace
 
-Node::Node() = default;
-Node::~Node() = default;
-
 void Node::AccumGrad(const Tensor& g) {
   if (grad.empty()) {
-    grad = Tensor::Zeros(rows, cols);
+    grad = Tensor::Zeros(rows(), cols());
   }
   grad.AddInPlace(g);
 }
 
 Var Var::Leaf(Tensor value, bool requires_grad) {
   auto node = std::make_shared<Node>();
-  node->rows = value.rows();
-  node->cols = value.cols();
   node->value = std::move(value);
   node->requires_grad = requires_grad;
   return Var(std::move(node));
@@ -53,86 +44,19 @@ void Var::ZeroGrad() {
   if (!node_->grad.empty()) node_->grad.Fill(0.0f);
 }
 
-void MarkInvariant(const Var& leaf) {
-  static std::atomic<uint64_t> next_uid{1};
-  CHECK(leaf.defined());
-  CHECK(leaf.node()->parents.empty())
-      << "MarkInvariant expects a leaf, not an op node";
-  CHECK(!leaf.requires_grad())
-      << "MarkInvariant expects a frozen (requires_grad=false) leaf";
-  if (leaf.node()->leaf_uid == 0) {
-    leaf.node()->leaf_uid = next_uid.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 namespace {
 
-// Materializes `src` into *out unless the graph engine already seeded *out
-// (fusion moved the parent's buffer in, leaving `src` empty). On the tape
-// path *out is always empty, so this is the plain output copy every
-// copy-then-transform op starts with.
-void CopyInto(const Tensor& src, Tensor* out) {
-  if (src.empty()) return;
-  if (out->data() == src.data() && !out->empty()) return;
-  *out = src;
-}
-
-uint64_t HashName(const char* s) {
-  uint64_t h = 1469598103934665603ull;
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<uint64_t>(static_cast<unsigned char>(*s));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t FloatBits(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
-}
-
-// Hoist-cache attribute key: op kind plus its scalar attributes. Zero
-// disables hoisting (ops with non-hashable attributes: masks, indices).
-uint64_t AttrKey(const OpTraits& traits,
-                 std::initializer_list<uint64_t> attrs = {}) {
-  uint64_t h = HashName(traits.name);
-  for (uint64_t a : attrs) {
-    h ^= a + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h != 0 ? h : 1;
-}
-
-// Builds an op node with record-time shape inference. Under an active
-// GraphSession the forward is deferred (recorded as a pending IR node);
-// otherwise — the tape engine, and any pool-worker thread — the exact same
-// forward runs immediately. One code path computes in both engines, which
-// is what makes them bitwise-identical by construction.
-Var MakeNode(int64_t rows, int64_t cols, std::vector<Var> parents,
-             const OpTraits& traits, uint64_t attr_key, ForwardFn forward,
+// Records an op node around its already-computed output. The backward
+// closure is kept only when some parent needs a gradient.
+Var MakeNode(Tensor value, std::vector<Var> parents,
              std::function<void(Node*)> backward_fn) {
   auto node = std::make_shared<Node>();
-  node->rows = rows;
-  node->cols = cols;
+  node->value = std::move(value);
   for (auto& p : parents) {
     if (p.requires_grad()) node->requires_grad = true;
     node->parents.push_back(p.node());
   }
   if (node->requires_grad) node->backward_fn = std::move(backward_fn);
-  graph::GraphSession* session = graph::GraphSession::Active();
-  if (session != nullptr) {
-    auto pending = std::make_unique<graph::PendingOp>();
-    pending->forward = std::move(forward);
-    pending->traits = &traits;
-    pending->attr_key = attr_key;
-    node->pending = std::move(pending);
-    Var v(std::move(node));
-    session->Record(v.node());
-    return v;
-  }
-  forward(node.get(), &node->value);
-  DCHECK_EQ(node->value.rows(), rows) << traits.name;
-  DCHECK_EQ(node->value.cols(), cols) << traits.name;
   return Var(std::move(node));
 }
 
@@ -165,19 +89,19 @@ void Backward(const Var& loss) {
   std::vector<Node*> order;
   TopoSort(loss.node().get(), &order);
   loss.node()->AccumGrad(Tensor::Scalar(1.0f));
-  // Under a graph session, release each intermediate gradient as soon as
-  // its backward_fn has consumed it: in reverse topological order a node's
-  // grad is complete before its backward_fn runs and is never read after,
-  // so this is a linear-scan liveness release along the fixed backward
-  // schedule. Leaves keep their grads for the optimizer.
-  const bool release_intermediates = graph::GraphSession::Active() != nullptr;
+  // Release each intermediate gradient as soon as its backward_fn has
+  // consumed it: in reverse topological order a node's grad is complete
+  // before its backward_fn runs and is never read after, so this is a
+  // linear-scan liveness release along the fixed backward schedule (the
+  // freed buffers feed the next allocations through the training arena).
+  // Leaves keep their grads for the optimizer.
   // Post-order puts the loss last; walk backwards.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
     if (node->backward_fn && !node->grad.empty()) {
       node->backward_fn(node);
     }
-    if (release_intermediates && !node->parents.empty()) {
+    if (!node->parents.empty()) {
       node->grad = Tensor();
     }
   }
@@ -194,151 +118,117 @@ void ClearGraphGrads(const Var& root) {
 // Elementwise binary ops.
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr OpTraits kAddTraits = {"add", false, 0u, true};
-constexpr OpTraits kSubTraits = {"sub", false, 0u, true};
-constexpr OpTraits kMulTraits = {"mul", false, 0b11u, true};
-constexpr OpTraits kDivTraits = {"div", false, 0b11u, true};
-constexpr OpTraits kAddScalarTraits = {"add_scalar", false, 0u, true};
-constexpr OpTraits kMulScalarTraits = {"mul_scalar", false, 0u, true};
-}  // namespace
-
 Var Add(const Var& a, const Var& b) {
   CHECK_EQ(a.rows(), b.rows());
   CHECK_EQ(a.cols(), b.cols());
-  return MakeNode(
-      a.rows(), a.cols(), {a, b}, kAddTraits, AttrKey(kAddTraits),
-      [](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        out->AddInPlace(n->parents[1]->value);
-      },
-      [](Node* n) {
-        if (n->parents[0]->requires_grad) n->parents[0]->AccumGrad(n->grad);
-        if (n->parents[1]->requires_grad) n->parents[1]->AccumGrad(n->grad);
-      });
+  Tensor out = a.value();
+  out.AddInPlace(b.value());
+  return MakeNode(std::move(out), {a, b}, [](Node* n) {
+    if (n->parents[0]->requires_grad) n->parents[0]->AccumGrad(n->grad);
+    if (n->parents[1]->requires_grad) n->parents[1]->AccumGrad(n->grad);
+  });
 }
 
 Var Sub(const Var& a, const Var& b) {
   CHECK_EQ(a.rows(), b.rows());
   CHECK_EQ(a.cols(), b.cols());
-  return MakeNode(
-      a.rows(), a.cols(), {a, b}, kSubTraits, AttrKey(kSubTraits),
-      [](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        out->AddScaledInPlace(n->parents[1]->value, -1.0f);
-      },
-      [](Node* n) {
-        if (n->parents[0]->requires_grad) n->parents[0]->AccumGrad(n->grad);
-        if (n->parents[1]->requires_grad) {
-          Tensor g = n->grad;
-          g.Scale(-1.0f);
-          n->parents[1]->AccumGrad(g);
-        }
-      });
+  Tensor out = a.value();
+  out.AddScaledInPlace(b.value(), -1.0f);
+  return MakeNode(std::move(out), {a, b}, [](Node* n) {
+    if (n->parents[0]->requires_grad) n->parents[0]->AccumGrad(n->grad);
+    if (n->parents[1]->requires_grad) {
+      Tensor g = n->grad;
+      g.Scale(-1.0f);
+      n->parents[1]->AccumGrad(g);
+    }
+  });
 }
 
 Var Mul(const Var& a, const Var& b) {
   CHECK_EQ(a.rows(), b.rows());
   CHECK_EQ(a.cols(), b.cols());
-  return MakeNode(
-      a.rows(), a.cols(), {a, b}, kMulTraits, AttrKey(kMulTraits),
-      [](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        float* op = out->data();
-        const float* bp = n->parents[1]->value.data();
-        ParallelElems(out->numel(), [op, bp](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) op[i] *= bp[i];
-        });
-      },
-      [](Node* n) {
-        const Tensor& av = n->parents[0]->value;
-        const Tensor& bv = n->parents[1]->value;
-        if (n->parents[0]->requires_grad) {
-          Tensor g = n->grad;
-          float* gp = g.data();
-          const float* bp = bv.data();
-          ParallelElems(g.numel(), [gp, bp](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) gp[i] *= bp[i];
-          });
-          n->parents[0]->AccumGrad(g);
-        }
-        if (n->parents[1]->requires_grad) {
-          Tensor g = n->grad;
-          float* gp = g.data();
-          const float* ap = av.data();
-          ParallelElems(g.numel(), [gp, ap](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) gp[i] *= ap[i];
-          });
-          n->parents[1]->AccumGrad(g);
-        }
+  Tensor out = a.value();
+  float* op = out.data();
+  const float* bp = b.value().data();
+  ParallelElems(out.numel(), [op, bp](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) op[i] *= bp[i];
+  });
+  return MakeNode(std::move(out), {a, b}, [](Node* n) {
+    const Tensor& av = n->parents[0]->value;
+    const Tensor& bv = n->parents[1]->value;
+    if (n->parents[0]->requires_grad) {
+      Tensor g = n->grad;
+      float* gp = g.data();
+      const float* bp = bv.data();
+      ParallelElems(g.numel(), [gp, bp](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) gp[i] *= bp[i];
       });
+      n->parents[0]->AccumGrad(g);
+    }
+    if (n->parents[1]->requires_grad) {
+      Tensor g = n->grad;
+      float* gp = g.data();
+      const float* ap = av.data();
+      ParallelElems(g.numel(), [gp, ap](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) gp[i] *= ap[i];
+      });
+      n->parents[1]->AccumGrad(g);
+    }
+  });
 }
 
 Var Div(const Var& a, const Var& b) {
   CHECK_EQ(a.rows(), b.rows());
   CHECK_EQ(a.cols(), b.cols());
-  return MakeNode(
-      a.rows(), a.cols(), {a, b}, kDivTraits, AttrKey(kDivTraits),
-      [](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        float* op = out->data();
-        const float* bp = n->parents[1]->value.data();
-        ParallelElems(out->numel(), [op, bp](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) op[i] /= bp[i];
-        });
-      },
-      [](Node* n) {
-        const Tensor& av = n->parents[0]->value;
-        const Tensor& bv = n->parents[1]->value;
-        if (n->parents[0]->requires_grad) {
-          Tensor g = n->grad;
-          float* gp = g.data();
-          const float* bp = bv.data();
-          ParallelElems(g.numel(), [gp, bp](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) gp[i] /= bp[i];
-          });
-          n->parents[0]->AccumGrad(g);
-        }
-        if (n->parents[1]->requires_grad) {
-          Tensor g = n->grad;
-          float* gp = g.data();
-          const float* ap = av.data();
-          const float* bp = bv.data();
-          ParallelElems(g.numel(), [gp, ap, bp](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-              const float bi = bp[i];
-              gp[i] *= -ap[i] / (bi * bi);
-            }
-          });
-          n->parents[1]->AccumGrad(g);
+  Tensor out = a.value();
+  float* op = out.data();
+  const float* bp = b.value().data();
+  ParallelElems(out.numel(), [op, bp](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) op[i] /= bp[i];
+  });
+  return MakeNode(std::move(out), {a, b}, [](Node* n) {
+    const Tensor& av = n->parents[0]->value;
+    const Tensor& bv = n->parents[1]->value;
+    if (n->parents[0]->requires_grad) {
+      Tensor g = n->grad;
+      float* gp = g.data();
+      const float* bp = bv.data();
+      ParallelElems(g.numel(), [gp, bp](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) gp[i] /= bp[i];
+      });
+      n->parents[0]->AccumGrad(g);
+    }
+    if (n->parents[1]->requires_grad) {
+      Tensor g = n->grad;
+      float* gp = g.data();
+      const float* ap = av.data();
+      const float* bp = bv.data();
+      ParallelElems(g.numel(), [gp, ap, bp](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const float bi = bp[i];
+          gp[i] *= -ap[i] / (bi * bi);
         }
       });
+      n->parents[1]->AccumGrad(g);
+    }
+  });
 }
 
 Var AddScalar(const Var& a, float s) {
-  return MakeNode(
-      a.rows(), a.cols(), {a}, kAddScalarTraits,
-      AttrKey(kAddScalarTraits, {FloatBits(s)}),
-      [s](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        out->Apply([s](float v) { return v + s; });
-      },
-      [](Node* n) { n->parents[0]->AccumGrad(n->grad); });
+  Tensor out = a.value();
+  out.Apply([s](float v) { return v + s; });
+  return MakeNode(std::move(out), {a},
+                  [](Node* n) { n->parents[0]->AccumGrad(n->grad); });
 }
 
 Var MulScalar(const Var& a, float s) {
-  return MakeNode(
-      a.rows(), a.cols(), {a}, kMulScalarTraits,
-      AttrKey(kMulScalarTraits, {FloatBits(s)}),
-      [s](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        out->Scale(s);
-      },
-      [s](Node* n) {
-        Tensor g = n->grad;
-        g.Scale(s);
-        n->parents[0]->AccumGrad(g);
-      });
+  Tensor out = a.value();
+  out.Scale(s);
+  return MakeNode(std::move(out), {a}, [s](Node* n) {
+    Tensor g = n->grad;
+    g.Scale(s);
+    n->parents[0]->AccumGrad(g);
+  });
 }
 
 Var Neg(const Var& a) { return MulScalar(a, -1.0f); }
@@ -347,68 +237,51 @@ Var Neg(const Var& a) { return MulScalar(a, -1.0f); }
 // MatMul.
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr OpTraits kMatMulTraits = {"matmul", false, 0b11u, false};
-constexpr OpTraits kTransposeTraits = {"transpose", false, 0u, false};
-}  // namespace
-
 Var MatMul(const Var& a, const Var& b, bool trans_a, bool trans_b) {
   const int64_t rows = trans_a ? a.cols() : a.rows();
   const int64_t cols = trans_b ? b.rows() : b.cols();
   const int64_t inner_a = trans_a ? a.rows() : a.cols();
   const int64_t inner_b = trans_b ? b.cols() : b.rows();
   CHECK_EQ(inner_a, inner_b);
-  return MakeNode(
-      rows, cols, {a, b}, kMatMulTraits,
-      AttrKey(kMatMulTraits,
-              {static_cast<uint64_t>(trans_a), static_cast<uint64_t>(trans_b)}),
-      [trans_a, trans_b](Node* n, Tensor* out) {
-        *out = Tensor(n->rows, n->cols);
-        tensor::MatMul(n->parents[0]->value, trans_a, n->parents[1]->value,
-                       trans_b, out);
-      },
-      [trans_a, trans_b](Node* n) {
-        const Tensor& g = n->grad;
-        const Tensor& av = n->parents[0]->value;
-        const Tensor& bv = n->parents[1]->value;
-        if (n->parents[0]->requires_grad) {
-          Tensor da;
-          if (!trans_a && !trans_b) {
-            da = tensor::MatMulNew(g, false, bv, true);  // g B^T
-          } else if (!trans_a && trans_b) {
-            da = tensor::MatMulNew(g, false, bv, false);  // g B
-          } else if (trans_a && !trans_b) {
-            da = tensor::MatMulNew(bv, false, g, true);  // B g^T
-          } else {
-            da = tensor::MatMulNew(bv, true, g, true);  // B^T g^T
-          }
-          n->parents[0]->AccumGrad(da);
-        }
-        if (n->parents[1]->requires_grad) {
-          Tensor db;
-          if (!trans_a && !trans_b) {
-            db = tensor::MatMulNew(av, true, g, false);  // A^T g
-          } else if (!trans_a && trans_b) {
-            db = tensor::MatMulNew(g, true, av, false);  // g^T A
-          } else if (trans_a && !trans_b) {
-            db = tensor::MatMulNew(av, false, g, false);  // A g
-          } else {
-            db = tensor::MatMulNew(g, true, av, true);  // g^T A^T
-          }
-          n->parents[1]->AccumGrad(db);
-        }
-      });
+  Tensor out(rows, cols);
+  tensor::MatMul(a.value(), trans_a, b.value(), trans_b, &out);
+  return MakeNode(std::move(out), {a, b}, [trans_a, trans_b](Node* n) {
+    const Tensor& g = n->grad;
+    const Tensor& av = n->parents[0]->value;
+    const Tensor& bv = n->parents[1]->value;
+    if (n->parents[0]->requires_grad) {
+      Tensor da;
+      if (!trans_a && !trans_b) {
+        da = tensor::MatMulNew(g, false, bv, true);  // g B^T
+      } else if (!trans_a && trans_b) {
+        da = tensor::MatMulNew(g, false, bv, false);  // g B
+      } else if (trans_a && !trans_b) {
+        da = tensor::MatMulNew(bv, false, g, true);  // B g^T
+      } else {
+        da = tensor::MatMulNew(bv, true, g, true);  // B^T g^T
+      }
+      n->parents[0]->AccumGrad(da);
+    }
+    if (n->parents[1]->requires_grad) {
+      Tensor db;
+      if (!trans_a && !trans_b) {
+        db = tensor::MatMulNew(av, true, g, false);  // A^T g
+      } else if (!trans_a && trans_b) {
+        db = tensor::MatMulNew(g, true, av, false);  // g^T A
+      } else if (trans_a && !trans_b) {
+        db = tensor::MatMulNew(av, false, g, false);  // A g
+      } else {
+        db = tensor::MatMulNew(g, true, av, true);  // g^T A^T
+      }
+      n->parents[1]->AccumGrad(db);
+    }
+  });
 }
 
 Var Transpose(const Var& a) {
-  return MakeNode(
-      a.cols(), a.rows(), {a}, kTransposeTraits, AttrKey(kTransposeTraits),
-      [](Node* n, Tensor* out) {
-        *out = tensor::Transposed(n->parents[0]->value);
-      },
-      [](Node* n) {
-        n->parents[0]->AccumGrad(tensor::Transposed(n->grad));
-      });
+  return MakeNode(tensor::Transposed(a.value()), {a}, [](Node* n) {
+    n->parents[0]->AccumGrad(tensor::Transposed(n->grad));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -417,59 +290,38 @@ Var Transpose(const Var& a) {
 
 namespace {
 
-// Helper for unary ops whose gradient only needs input and/or output values
-// (which of the two is declared per-op in `traits`, so the graph engine's
-// fusion pass knows which buffers must stay live). The forward callback
-// transforms the span in place -- one indirect call per tensor, so the
-// per-element math inlines into the caller's loop (a per-element
-// std::function made SELU as expensive as the encoder's small GEMMs). The
-// backward callback fills dx over the element sub-range [lo, hi); it is
-// invoked from pool workers on disjoint ranges, so it must write only
-// dx[lo, hi) and be pure otherwise.
-Var UnaryOp(const Var& a, const OpTraits& traits, uint64_t attr_key,
-            std::function<void(float* d, int64_t count)> fwd,
+// Helper for unary ops whose gradient only needs input and/or output
+// values. The forward callback transforms a copy of the input in place --
+// one indirect call per tensor, so the per-element math inlines into the
+// caller's loop (a per-element std::function made SELU as expensive as the
+// encoder's small GEMMs). The backward callback fills dx over the element
+// sub-range [lo, hi); it is invoked from pool workers on disjoint ranges,
+// so it must write only dx[lo, hi) and be pure otherwise.
+Var UnaryOp(const Var& a,
+            const std::function<void(float* d, int64_t count)>& fwd,
             std::function<void(const float* x, const float* y, const float* g,
                                float* dx, int64_t lo, int64_t hi)>
                 bwd) {
-  return MakeNode(
-      a.rows(), a.cols(), {a}, traits, attr_key,
-      [fwd](Node* n, Tensor* out) {
-        // Copy-then-transform-in-place: after the copy the parent's value
-        // is never read again, which is what lets the graph engine's
-        // fusion pass steal the parent's buffer for `out`.
-        CopyInto(n->parents[0]->value, out);
-        fwd(out->data(), out->numel());
-      },
-      [bwd](Node* n) {
-        Tensor dx(n->rows, n->cols);
-        const float* xp = n->parents[0]->value.data();
-        const float* yp = n->value.data();
-        const float* gp = n->grad.data();
-        float* dp = dx.data();
-        ParallelElems(dx.numel(),
-                      [&bwd, xp, yp, gp, dp](int64_t lo, int64_t hi) {
-                        bwd(xp, yp, gp, dp, lo, hi);
-                      });
-        n->parents[0]->AccumGrad(dx);
-      });
+  Tensor out = a.value();
+  fwd(out.data(), out.numel());
+  return MakeNode(std::move(out), {a}, [bwd](Node* n) {
+    Tensor dx(n->rows(), n->cols());
+    const float* xp = n->parents[0]->value.data();
+    const float* yp = n->value.data();
+    const float* gp = n->grad.data();
+    float* dp = dx.data();
+    ParallelElems(dx.numel(),
+                  [&bwd, xp, yp, gp, dp](int64_t lo, int64_t hi) {
+                    bwd(xp, yp, gp, dp, lo, hi);
+                  });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
-
-constexpr OpTraits kExpTraits = {"exp", true, 0u, true};
-constexpr OpTraits kLogTraits = {"log", false, 0b1u, true};
-constexpr OpTraits kSquareTraits = {"square", false, 0b1u, true};
-constexpr OpTraits kSqrtTraits = {"sqrt", true, 0u, true};
-constexpr OpTraits kRsqrtTraits = {"rsqrt", true, 0u, true};
-constexpr OpTraits kReluTraits = {"relu", false, 0b1u, true};
-constexpr OpTraits kSeluTraits = {"selu", false, 0b1u, true};
-constexpr OpTraits kSoftplusTraits = {"softplus", false, 0b1u, true};
-constexpr OpTraits kTanhTraits = {"tanh", true, 0u, true};
-constexpr OpTraits kSigmoidTraits = {"sigmoid", true, 0u, true};
-
 }  // namespace
 
 Var Exp(const Var& a) {
   return UnaryOp(
-      a, kExpTraits, AttrKey(kExpTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) d[i] = std::exp(d[i]);
       },
@@ -481,7 +333,7 @@ Var Exp(const Var& a) {
 
 Var Log(const Var& a, float eps) {
   return UnaryOp(
-      a, kLogTraits, AttrKey(kLogTraits, {FloatBits(eps)}),
+      a,
       [eps](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) d[i] = std::log(d[i] + eps);
       },
@@ -493,7 +345,7 @@ Var Log(const Var& a, float eps) {
 
 Var Square(const Var& a) {
   return UnaryOp(
-      a, kSquareTraits, AttrKey(kSquareTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) d[i] = d[i] * d[i];
       },
@@ -505,7 +357,7 @@ Var Square(const Var& a) {
 
 Var Sqrt(const Var& a, float eps) {
   return UnaryOp(
-      a, kSqrtTraits, AttrKey(kSqrtTraits, {FloatBits(eps)}),
+      a,
       [eps](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) d[i] = std::sqrt(d[i] + eps);
       },
@@ -517,7 +369,7 @@ Var Sqrt(const Var& a, float eps) {
 
 Var Rsqrt(const Var& a, float eps) {
   return UnaryOp(
-      a, kRsqrtTraits, AttrKey(kRsqrtTraits, {FloatBits(eps)}),
+      a,
       [eps](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) {
           d[i] = 1.0f / std::sqrt(d[i] + eps);
@@ -534,7 +386,7 @@ Var Rsqrt(const Var& a, float eps) {
 
 Var Relu(const Var& a) {
   return UnaryOp(
-      a, kReluTraits, AttrKey(kReluTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
       },
@@ -553,7 +405,7 @@ constexpr float kSeluAlpha = 1.6732632423543772f;
 
 Var Selu(const Var& a) {
   return UnaryOp(
-      a, kSeluTraits, AttrKey(kSeluTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) {
           const float v = d[i];
@@ -575,7 +427,7 @@ Var Selu(const Var& a) {
 
 Var Softplus(const Var& a) {
   return UnaryOp(
-      a, kSoftplusTraits, AttrKey(kSoftplusTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) {
           // Numerically stable log(1 + e^x).
@@ -594,7 +446,7 @@ Var Softplus(const Var& a) {
 
 Var Tanh(const Var& a) {
   return UnaryOp(
-      a, kTanhTraits, AttrKey(kTanhTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) d[i] = std::tanh(d[i]);
       },
@@ -609,7 +461,7 @@ Var Tanh(const Var& a) {
 
 Var Sigmoid(const Var& a) {
   return UnaryOp(
-      a, kSigmoidTraits, AttrKey(kSigmoidTraits),
+      a,
       [](float* d, int64_t count) {
         for (int64_t i = 0; i < count; ++i) {
           d[i] = 1.0f / (1.0f + std::exp(-d[i]));
@@ -628,99 +480,77 @@ Var Sigmoid(const Var& a) {
 // Softmax family.
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr OpTraits kSoftmaxTraits = {"softmax_rows", true, 0u, true};
-constexpr OpTraits kLogSoftmaxTraits = {"log_softmax_rows", true, 0u, true};
-constexpr OpTraits kMaskedLseTraits = {"masked_lse_rows", true, 0b1u, false};
-}  // namespace
-
 Var SoftmaxRows(const Var& a) {
-  return MakeNode(
-      a.rows(), a.cols(), {a}, kSoftmaxTraits, AttrKey(kSoftmaxTraits),
-      [](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        tensor::SoftmaxRowsInPlace(out);
-      },
-      [](Node* n) {
-        const Tensor& y = n->value;
-        const Tensor& g = n->grad;
-        Tensor dx(y.rows(), y.cols());
-        ParallelRows(y.rows(), y.cols(), [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float* yr = y.row(r);
-            const float* gr = g.row(r);
-            double dot = 0.0;
-            for (int64_t c = 0; c < y.cols(); ++c) {
-              dot += static_cast<double>(gr[c]) * yr[c];
-            }
-            float* dr = dx.row(r);
-            for (int64_t c = 0; c < y.cols(); ++c) {
-              dr[c] = yr[c] * (gr[c] - static_cast<float>(dot));
-            }
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  Tensor out = a.value();
+  tensor::SoftmaxRowsInPlace(&out);
+  return MakeNode(std::move(out), {a}, [](Node* n) {
+    const Tensor& y = n->value;
+    const Tensor& g = n->grad;
+    Tensor dx(y.rows(), y.cols());
+    ParallelRows(y.rows(), y.cols(), [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float* yr = y.row(r);
+        const float* gr = g.row(r);
+        double dot = 0.0;
+        for (int64_t c = 0; c < y.cols(); ++c) {
+          dot += static_cast<double>(gr[c]) * yr[c];
+        }
+        float* dr = dx.row(r);
+        for (int64_t c = 0; c < y.cols(); ++c) {
+          dr[c] = yr[c] * (gr[c] - static_cast<float>(dot));
+        }
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var LogSoftmaxRows(const Var& a) {
-  return MakeNode(
-      a.rows(), a.cols(), {a}, kLogSoftmaxTraits, AttrKey(kLogSoftmaxTraits),
-      [](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        tensor::LogSoftmaxRowsInPlace(out);
-      },
-      [](Node* n) {
-        const Tensor& y = n->value;  // log-softmax
-        const Tensor& g = n->grad;
-        Tensor dx(y.rows(), y.cols());
-        ParallelRows(y.rows(), y.cols(), [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float* yr = y.row(r);
-            const float* gr = g.row(r);
-            double gsum = 0.0;
-            for (int64_t c = 0; c < y.cols(); ++c) gsum += gr[c];
-            float* dr = dx.row(r);
-            for (int64_t c = 0; c < y.cols(); ++c) {
-              dr[c] = gr[c] - static_cast<float>(gsum) * std::exp(yr[c]);
-            }
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  Tensor out = a.value();
+  tensor::LogSoftmaxRowsInPlace(&out);
+  return MakeNode(std::move(out), {a}, [](Node* n) {
+    const Tensor& y = n->value;  // log-softmax
+    const Tensor& g = n->grad;
+    Tensor dx(y.rows(), y.cols());
+    ParallelRows(y.rows(), y.cols(), [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float* yr = y.row(r);
+        const float* gr = g.row(r);
+        double gsum = 0.0;
+        for (int64_t c = 0; c < y.cols(); ++c) gsum += gr[c];
+        float* dr = dx.row(r);
+        for (int64_t c = 0; c < y.cols(); ++c) {
+          dr[c] = gr[c] - static_cast<float>(gsum) * std::exp(yr[c]);
+        }
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var MaskedLogSumExpRows(const Var& a, const Tensor& mask) {
-  // One shared copy of the mask serves both closures.
-  auto mask_ptr = std::make_shared<const Tensor>(mask);
-  return MakeNode(
-      a.rows(), 1, {a}, kMaskedLseTraits, /*attr_key=*/0,
-      [mask_ptr](Node* n, Tensor* out) {
-        *out = Tensor(n->rows, 1);
-        tensor::LogSumExpRows(n->parents[0]->value, mask_ptr.get(), out);
-      },
-      [mask_ptr](Node* n) {
-        const Tensor& mask = *mask_ptr;
-        const Tensor& x = n->parents[0]->value;
-        const Tensor& lse = n->value;
-        const Tensor& g = n->grad;  // rows x 1
-        Tensor dx(x.rows(), x.cols());
-        ParallelRows(x.rows(), x.cols(), [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float out_r = lse.at(r, 0);
-            if (out_r <= -1e29f) continue;  // Empty mask row: no gradient.
-            const float gr = g.at(r, 0);
-            const float* xr = x.row(r);
-            const float* mr = mask.row(r);
-            float* dr = dx.row(r);
-            for (int64_t c = 0; c < x.cols(); ++c) {
-              dr[c] =
-                  mr[c] > 0.0f ? gr * mr[c] * std::exp(xr[c] - out_r) : 0.0f;
-            }
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  Tensor out(a.rows(), 1);
+  tensor::LogSumExpRows(a.value(), &mask, &out);
+  return MakeNode(std::move(out), {a}, [mask](Node* n) {
+    const Tensor& x = n->parents[0]->value;
+    const Tensor& lse = n->value;
+    const Tensor& g = n->grad;  // rows x 1
+    Tensor dx(x.rows(), x.cols());
+    ParallelRows(x.rows(), x.cols(), [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float out_r = lse.at(r, 0);
+        if (out_r <= -1e29f) continue;  // Empty mask row: no gradient.
+        const float gr = g.at(r, 0);
+        const float* xr = x.row(r);
+        const float* mr = mask.row(r);
+        float* dr = dx.row(r);
+        for (int64_t c = 0; c < x.cols(); ++c) {
+          dr[c] = mr[c] > 0.0f ? gr * mr[c] * std::exp(xr[c] - out_r) : 0.0f;
+        }
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var LogSumExpRows(const Var& a) {
@@ -731,24 +561,12 @@ Var LogSumExpRows(const Var& a) {
 // Reductions.
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr OpTraits kSumAllTraits = {"sum_all", false, 0u, false};
-constexpr OpTraits kRowSumTraits = {"row_sum", false, 0u, false};
-constexpr OpTraits kColSumTraits = {"col_sum", false, 0u, false};
-}  // namespace
-
 Var SumAll(const Var& a) {
-  return MakeNode(
-      1, 1, {a}, kSumAllTraits, AttrKey(kSumAllTraits),
-      [](Node* n, Tensor* out) {
-        *out = Tensor::Scalar(n->parents[0]->value.Sum());
-      },
-      [](Node* n) {
-        const float g = n->grad.scalar();
-        Tensor dx =
-            Tensor::Full(n->parents[0]->rows, n->parents[0]->cols, g);
-        n->parents[0]->AccumGrad(dx);
-      });
+  return MakeNode(Tensor::Scalar(a.value().Sum()), {a}, [](Node* n) {
+    const float g = n->grad.scalar();
+    Tensor dx = Tensor::Full(n->parents[0]->rows(), n->parents[0]->cols(), g);
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var MeanAll(const Var& a) {
@@ -757,46 +575,36 @@ Var MeanAll(const Var& a) {
 }
 
 Var RowSum(const Var& a) {
-  return MakeNode(
-      a.rows(), 1, {a}, kRowSumTraits, AttrKey(kRowSumTraits),
-      [](Node* n, Tensor* out) {
-        *out = tensor::RowSum(n->parents[0]->value);
-      },
-      [](Node* n) {
-        const Tensor& g = n->grad;  // rows x 1
-        const int64_t rows = n->parents[0]->rows;
-        const int64_t cols = n->parents[0]->cols;
-        Tensor dx(rows, cols);
-        ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float gr = g.at(r, 0);
-            float* dr = dx.row(r);
-            for (int64_t c = 0; c < cols; ++c) dr[c] = gr;
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  return MakeNode(tensor::RowSum(a.value()), {a}, [](Node* n) {
+    const Tensor& g = n->grad;  // rows x 1
+    const int64_t rows = n->parents[0]->rows();
+    const int64_t cols = n->parents[0]->cols();
+    Tensor dx(rows, cols);
+    ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float gr = g.at(r, 0);
+        float* dr = dx.row(r);
+        for (int64_t c = 0; c < cols; ++c) dr[c] = gr;
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var ColSum(const Var& a) {
-  return MakeNode(
-      1, a.cols(), {a}, kColSumTraits, AttrKey(kColSumTraits),
-      [](Node* n, Tensor* out) {
-        *out = tensor::ColSum(n->parents[0]->value);
-      },
-      [](Node* n) {
-        const Tensor& g = n->grad;  // 1 x cols
-        const int64_t rows = n->parents[0]->rows;
-        const int64_t cols = n->parents[0]->cols;
-        Tensor dx(rows, cols);
-        ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            float* dr = dx.row(r);
-            for (int64_t c = 0; c < cols; ++c) dr[c] = g.at(0, c);
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  return MakeNode(tensor::ColSum(a.value()), {a}, [](Node* n) {
+    const Tensor& g = n->grad;  // 1 x cols
+    const int64_t rows = n->parents[0]->rows();
+    const int64_t cols = n->parents[0]->cols();
+    Tensor dx(rows, cols);
+    ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        float* dr = dx.row(r);
+        for (int64_t c = 0; c < cols; ++c) dr[c] = g.at(0, c);
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var ColMean(const Var& a) {
@@ -810,166 +618,146 @@ Var ColMean(const Var& a) {
 
 namespace {
 
-// Conservative: backward reads both operands for the mul/div variants and
-// the shared grid reduction reads the matrix operand, so neither parent's
-// buffer may be elided.
-constexpr OpTraits kBroadcastColTraits = {"broadcast_col", false, 0b11u,
-                                          false};
-constexpr OpTraits kBroadcastRowTraits = {"broadcast_row", false, 0b11u,
-                                          false};
-
 Var BroadcastColOp(const Var& a, const Var& col, BinaryOp op) {
   CHECK_EQ(col.rows(), a.rows());
   CHECK_EQ(col.cols(), 1);
-  return MakeNode(
-      a.rows(), a.cols(), {a, col}, kBroadcastColTraits,
-      AttrKey(kBroadcastColTraits, {static_cast<uint64_t>(op)}),
-      [op](Node* n, Tensor* out) {
-        *out = Tensor(n->rows, n->cols);
-        tensor::BroadcastCol(n->parents[0]->value, n->parents[1]->value, op,
-                             out);
-      },
-      [op](Node* n) {
-        const Tensor& g = n->grad;
-        const Tensor& av = n->parents[0]->value;
-        const Tensor& cv = n->parents[1]->value;
-        if (n->parents[0]->requires_grad) {
-          Tensor da(av.rows(), av.cols());
-          ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
-            for (int64_t r = r_lo; r < r_hi; ++r) {
-              const float c = cv.at(r, 0);
-              const float* gr = g.row(r);
-              float* dr = da.row(r);
-              for (int64_t j = 0; j < av.cols(); ++j) {
-                switch (op) {
-                  case BinaryOp::kAdd:
-                  case BinaryOp::kSub:
-                    dr[j] = gr[j];
-                    break;
-                  case BinaryOp::kMul:
-                    dr[j] = gr[j] * c;
-                    break;
-                  case BinaryOp::kDiv:
-                    dr[j] = gr[j] / c;
-                    break;
-                }
-              }
+  Tensor out(a.rows(), a.cols());
+  tensor::BroadcastCol(a.value(), col.value(), op, &out);
+  return MakeNode(std::move(out), {a, col}, [op](Node* n) {
+    const Tensor& g = n->grad;
+    const Tensor& av = n->parents[0]->value;
+    const Tensor& cv = n->parents[1]->value;
+    if (n->parents[0]->requires_grad) {
+      Tensor da(av.rows(), av.cols());
+      ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
+        for (int64_t r = r_lo; r < r_hi; ++r) {
+          const float c = cv.at(r, 0);
+          const float* gr = g.row(r);
+          float* dr = da.row(r);
+          for (int64_t j = 0; j < av.cols(); ++j) {
+            switch (op) {
+              case BinaryOp::kAdd:
+              case BinaryOp::kSub:
+                dr[j] = gr[j];
+                break;
+              case BinaryOp::kMul:
+                dr[j] = gr[j] * c;
+                break;
+              case BinaryOp::kDiv:
+                dr[j] = gr[j] / c;
+                break;
             }
-          });
-          n->parents[0]->AccumGrad(da);
-        }
-        if (n->parents[1]->requires_grad) {
-          // Each dc row is a reduction over one input row only, so rows are
-          // independent and the per-row serial accumulation order is
-          // unchanged.
-          Tensor dc(cv.rows(), 1);
-          ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
-            for (int64_t r = r_lo; r < r_hi; ++r) {
-              const float c = cv.at(r, 0);
-              const float* gr = g.row(r);
-              const float* ar = av.row(r);
-              double acc = 0.0;
-              for (int64_t j = 0; j < av.cols(); ++j) {
-                switch (op) {
-                  case BinaryOp::kAdd:
-                    acc += gr[j];
-                    break;
-                  case BinaryOp::kSub:
-                    acc -= gr[j];
-                    break;
-                  case BinaryOp::kMul:
-                    acc += static_cast<double>(gr[j]) * ar[j];
-                    break;
-                  case BinaryOp::kDiv:
-                    acc += -static_cast<double>(gr[j]) * ar[j] / (c * c);
-                    break;
-                }
-              }
-              dc.at(r, 0) = static_cast<float>(acc);
-            }
-          });
-          n->parents[1]->AccumGrad(dc);
+          }
         }
       });
+      n->parents[0]->AccumGrad(da);
+    }
+    if (n->parents[1]->requires_grad) {
+      // Each dc row is a reduction over one input row only, so rows are
+      // independent and the per-row serial accumulation order is
+      // unchanged.
+      Tensor dc(cv.rows(), 1);
+      ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
+        for (int64_t r = r_lo; r < r_hi; ++r) {
+          const float c = cv.at(r, 0);
+          const float* gr = g.row(r);
+          const float* ar = av.row(r);
+          double acc = 0.0;
+          for (int64_t j = 0; j < av.cols(); ++j) {
+            switch (op) {
+              case BinaryOp::kAdd:
+                acc += gr[j];
+                break;
+              case BinaryOp::kSub:
+                acc -= gr[j];
+                break;
+              case BinaryOp::kMul:
+                acc += static_cast<double>(gr[j]) * ar[j];
+                break;
+              case BinaryOp::kDiv:
+                acc += -static_cast<double>(gr[j]) * ar[j] / (c * c);
+                break;
+            }
+          }
+          dc.at(r, 0) = static_cast<float>(acc);
+        }
+      });
+      n->parents[1]->AccumGrad(dc);
+    }
+  });
 }
 
 Var BroadcastRowOp(const Var& a, const Var& row, BinaryOp op) {
   CHECK_EQ(row.cols(), a.cols());
   CHECK_EQ(row.rows(), 1);
-  return MakeNode(
-      a.rows(), a.cols(), {a, row}, kBroadcastRowTraits,
-      AttrKey(kBroadcastRowTraits, {static_cast<uint64_t>(op)}),
-      [op](Node* n, Tensor* out) {
-        *out = Tensor(n->rows, n->cols);
-        tensor::BroadcastRow(n->parents[0]->value, n->parents[1]->value, op,
-                             out);
-      },
-      [op](Node* n) {
-        const Tensor& g = n->grad;
-        const Tensor& av = n->parents[0]->value;
-        const Tensor& rv = n->parents[1]->value;
-        if (n->parents[0]->requires_grad) {
-          Tensor da(av.rows(), av.cols());
-          ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
+  Tensor out(a.rows(), a.cols());
+  tensor::BroadcastRow(a.value(), row.value(), op, &out);
+  return MakeNode(std::move(out), {a, row}, [op](Node* n) {
+    const Tensor& g = n->grad;
+    const Tensor& av = n->parents[0]->value;
+    const Tensor& rv = n->parents[1]->value;
+    if (n->parents[0]->requires_grad) {
+      Tensor da(av.rows(), av.cols());
+      ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
+        for (int64_t r = r_lo; r < r_hi; ++r) {
+          const float* gr = g.row(r);
+          float* dr = da.row(r);
+          for (int64_t j = 0; j < av.cols(); ++j) {
+            const float b = rv.at(0, j);
+            switch (op) {
+              case BinaryOp::kAdd:
+              case BinaryOp::kSub:
+                dr[j] = gr[j];
+                break;
+              case BinaryOp::kMul:
+                dr[j] = gr[j] * b;
+                break;
+              case BinaryOp::kDiv:
+                dr[j] = gr[j] / b;
+                break;
+            }
+          }
+        }
+      });
+      n->parents[0]->AccumGrad(da);
+    }
+    if (n->parents[1]->requires_grad) {
+      // Bias-style gradient: reduce over the batch dimension. Per-chunk
+      // partials over a fixed row grid, folded in fixed tree order, keep
+      // the result bitwise-identical at any thread count
+      // (util/parallel.h).
+      Tensor dr = util::ParallelReduceOrdered(
+          util::ThreadPool::Global(), 0, av.rows(), kGradReduceGridRows,
+          Tensor(1, rv.cols()),
+          [&](int64_t r_lo, int64_t r_hi) {
+            Tensor partial(1, rv.cols());
             for (int64_t r = r_lo; r < r_hi; ++r) {
               const float* gr = g.row(r);
-              float* dr = da.row(r);
+              const float* ar = av.row(r);
               for (int64_t j = 0; j < av.cols(); ++j) {
                 const float b = rv.at(0, j);
                 switch (op) {
                   case BinaryOp::kAdd:
+                    partial.at(0, j) += gr[j];
+                    break;
                   case BinaryOp::kSub:
-                    dr[j] = gr[j];
+                    partial.at(0, j) -= gr[j];
                     break;
                   case BinaryOp::kMul:
-                    dr[j] = gr[j] * b;
+                    partial.at(0, j) += gr[j] * ar[j];
                     break;
                   case BinaryOp::kDiv:
-                    dr[j] = gr[j] / b;
+                    partial.at(0, j) += -gr[j] * ar[j] / (b * b);
                     break;
                 }
               }
             }
-          });
-          n->parents[0]->AccumGrad(da);
-        }
-        if (n->parents[1]->requires_grad) {
-          // Bias-style gradient: reduce over the batch dimension. Per-chunk
-          // partials over a fixed row grid, folded in fixed tree order, keep
-          // the result bitwise-identical at any thread count
-          // (util/parallel.h).
-          Tensor dr = util::ParallelReduceOrdered(
-              util::ThreadPool::Global(), 0, av.rows(), kGradReduceGridRows,
-              Tensor(1, rv.cols()),
-              [&](int64_t r_lo, int64_t r_hi) {
-                Tensor partial(1, rv.cols());
-                for (int64_t r = r_lo; r < r_hi; ++r) {
-                  const float* gr = g.row(r);
-                  const float* ar = av.row(r);
-                  for (int64_t j = 0; j < av.cols(); ++j) {
-                    const float b = rv.at(0, j);
-                    switch (op) {
-                      case BinaryOp::kAdd:
-                        partial.at(0, j) += gr[j];
-                        break;
-                      case BinaryOp::kSub:
-                        partial.at(0, j) -= gr[j];
-                        break;
-                      case BinaryOp::kMul:
-                        partial.at(0, j) += gr[j] * ar[j];
-                        break;
-                      case BinaryOp::kDiv:
-                        partial.at(0, j) += -gr[j] * ar[j] / (b * b);
-                        break;
-                    }
-                  }
-                }
-                return partial;
-              },
-              [](Tensor& acc, Tensor&& part) { acc.AddInPlace(part); });
-          n->parents[1]->AccumGrad(dr);
-        }
-      });
+            return partial;
+          },
+          [](Tensor& acc, Tensor&& part) { acc.AddInPlace(part); });
+      n->parents[1]->AccumGrad(dr);
+    }
+  });
 }
 
 }  // namespace
@@ -1003,56 +791,41 @@ Var BroadcastRowDiv(const Var& a, const Var& row) {
 // Structured ops.
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr OpTraits kRowL2NormalizeTraits = {"row_l2_normalize", true, 0b1u,
-                                            true};
-constexpr OpTraits kConcatRowsTraits = {"concat_rows", false, 0u, false};
-constexpr OpTraits kSelectColumnsTraits = {"select_columns", false, 0u,
-                                           false};
-constexpr OpTraits kGatherRowsTraits = {"gather_rows", false, 0u, false};
-constexpr OpTraits kApplyMaskTraits = {"apply_mask", false, 0u, true};
-}  // namespace
-
 Var RowL2Normalize(const Var& a, float eps) {
-  return MakeNode(
-      a.rows(), a.cols(), {a}, kRowL2NormalizeTraits,
-      AttrKey(kRowL2NormalizeTraits, {FloatBits(eps)}),
-      [eps](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        tensor::RowL2NormalizeInPlace(out, eps);
-      },
-      [eps](Node* n) {
-        const Tensor& x = n->parents[0]->value;
-        const Tensor& y = n->value;
-        const Tensor& g = n->grad;
-        Tensor dx(x.rows(), x.cols());
-        ParallelRows(x.rows(), x.cols(), [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float* xr = x.row(r);
-            const float* yr = y.row(r);
-            const float* gr = g.row(r);
-            double norm_sq = 0.0;
-            for (int64_t c = 0; c < x.cols(); ++c) {
-              norm_sq += static_cast<double>(xr[c]) * xr[c];
-            }
-            const float norm = static_cast<float>(std::sqrt(norm_sq));
-            float* dr = dx.row(r);
-            if (norm <= eps) {
-              for (int64_t c = 0; c < x.cols(); ++c) dr[c] = 0.0f;
-              continue;
-            }
-            double dot = 0.0;
-            for (int64_t c = 0; c < x.cols(); ++c) {
-              dot += static_cast<double>(gr[c]) * yr[c];
-            }
-            const float inv = 1.0f / norm;
-            for (int64_t c = 0; c < x.cols(); ++c) {
-              dr[c] = (gr[c] - static_cast<float>(dot) * yr[c]) * inv;
-            }
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  Tensor out = a.value();
+  tensor::RowL2NormalizeInPlace(&out, eps);
+  return MakeNode(std::move(out), {a}, [eps](Node* n) {
+    const Tensor& x = n->parents[0]->value;
+    const Tensor& y = n->value;
+    const Tensor& g = n->grad;
+    Tensor dx(x.rows(), x.cols());
+    ParallelRows(x.rows(), x.cols(), [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float* xr = x.row(r);
+        const float* yr = y.row(r);
+        const float* gr = g.row(r);
+        double norm_sq = 0.0;
+        for (int64_t c = 0; c < x.cols(); ++c) {
+          norm_sq += static_cast<double>(xr[c]) * xr[c];
+        }
+        const float norm = static_cast<float>(std::sqrt(norm_sq));
+        float* dr = dx.row(r);
+        if (norm <= eps) {
+          for (int64_t c = 0; c < x.cols(); ++c) dr[c] = 0.0f;
+          continue;
+        }
+        double dot = 0.0;
+        for (int64_t c = 0; c < x.cols(); ++c) {
+          dot += static_cast<double>(gr[c]) * yr[c];
+        }
+        const float inv = 1.0f / norm;
+        for (int64_t c = 0; c < x.cols(); ++c) {
+          dr[c] = (gr[c] - static_cast<float>(dot) * yr[c]) * inv;
+        }
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var ConcatRows(const std::vector<Var>& parts) {
@@ -1063,140 +836,110 @@ Var ConcatRows(const std::vector<Var>& parts) {
     CHECK_EQ(p.cols(), cols);
     rows += p.rows();
   }
-  return MakeNode(
-      rows, cols, parts, kConcatRowsTraits, AttrKey(kConcatRowsTraits),
-      [](Node* n, Tensor* out) {
-        *out = Tensor(n->rows, n->cols);
-        const int64_t cols = n->cols;
-        int64_t offset = 0;
-        for (const auto& parent : n->parents) {
-          const Tensor& v = parent->value;
-          std::copy(v.data(), v.data() + v.numel(),
-                    out->data() + offset * cols);
-          offset += v.rows();
-        }
-      },
-      [](Node* n) {
-        const Tensor& g = n->grad;
-        const int64_t cols = g.cols();
-        int64_t offset = 0;
-        for (auto& parent : n->parents) {
-          const int64_t r = parent->rows;
-          if (parent->requires_grad) {
-            Tensor dg(r, cols);
-            std::copy(g.data() + offset * cols,
-                      g.data() + (offset + r) * cols, dg.data());
-            parent->AccumGrad(dg);
-          }
-          offset += r;
-        }
-      });
+  Tensor out(rows, cols);
+  int64_t offset = 0;
+  for (const auto& p : parts) {
+    const Tensor& v = p.value();
+    std::copy(v.data(), v.data() + v.numel(), out.data() + offset * cols);
+    offset += v.rows();
+  }
+  return MakeNode(std::move(out), parts, [](Node* n) {
+    const Tensor& g = n->grad;
+    const int64_t cols = g.cols();
+    int64_t offset = 0;
+    for (auto& parent : n->parents) {
+      const int64_t r = parent->rows();
+      if (parent->requires_grad) {
+        Tensor dg(r, cols);
+        std::copy(g.data() + offset * cols,
+                  g.data() + (offset + r) * cols, dg.data());
+        parent->AccumGrad(dg);
+      }
+      offset += r;
+    }
+  });
 }
 
 Var SelectColumns(const Var& a, const std::vector<int>& indices) {
-  // One shared copy of the index list serves both closures.
-  auto idx = std::make_shared<const std::vector<int>>(indices);
-  return MakeNode(
-      a.rows(), static_cast<int64_t>(indices.size()), {a},
-      kSelectColumnsTraits, /*attr_key=*/0,
-      [idx](Node* n, Tensor* out) {
-        const Tensor& x = n->parents[0]->value;
-        *out = Tensor(n->rows, n->cols);
-        Tensor* outp = out;
-        ParallelRows(x.rows(), x.cols(), [&x, outp, &idx](int64_t r_lo,
-                                                          int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float* xr = x.row(r);
-            float* outr = outp->row(r);
-            for (size_t j = 0; j < idx->size(); ++j) {
-              DCHECK_GE((*idx)[j], 0);
-              DCHECK_LT((*idx)[j], x.cols());
-              outr[j] = xr[(*idx)[j]];
-            }
-          }
-        });
-      },
-      [idx](Node* n) {
-        const Tensor& g = n->grad;
-        const int64_t rows = n->parents[0]->rows;
-        const int64_t cols = n->parents[0]->cols;
-        // The scatter stays within each row (duplicate indices accumulate
-        // in serial j-order per row), so row-parallelism is
-        // partition-independent.
-        Tensor dx(rows, cols);
-        ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
-          for (int64_t r = r_lo; r < r_hi; ++r) {
-            const float* gr = g.row(r);
-            float* dr = dx.row(r);
-            for (size_t j = 0; j < idx->size(); ++j) {
-              dr[(*idx)[j]] += gr[j];
-            }
-          }
-        });
-        n->parents[0]->AccumGrad(dx);
-      });
+  const Tensor& x = a.value();
+  Tensor out(x.rows(), static_cast<int64_t>(indices.size()));
+  ParallelRows(x.rows(), x.cols(), [&](int64_t r_lo, int64_t r_hi) {
+    for (int64_t r = r_lo; r < r_hi; ++r) {
+      const float* xr = x.row(r);
+      float* outr = out.row(r);
+      for (size_t j = 0; j < indices.size(); ++j) {
+        DCHECK_GE(indices[j], 0);
+        DCHECK_LT(indices[j], x.cols());
+        outr[j] = xr[indices[j]];
+      }
+    }
+  });
+  return MakeNode(std::move(out), {a}, [idx = indices](Node* n) {
+    const Tensor& g = n->grad;
+    const int64_t rows = n->parents[0]->rows();
+    const int64_t cols = n->parents[0]->cols();
+    // The scatter stays within each row (duplicate indices accumulate
+    // in serial j-order per row), so row-parallelism is
+    // partition-independent.
+    Tensor dx(rows, cols);
+    ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float* gr = g.row(r);
+        float* dr = dx.row(r);
+        for (size_t j = 0; j < idx.size(); ++j) {
+          dr[idx[j]] += gr[j];
+        }
+      }
+    });
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var GatherRows(const Var& a, const std::vector<int>& indices) {
   CHECK(!indices.empty());
-  // One shared copy of the index list serves both closures.
-  auto idx = std::make_shared<const std::vector<int>>(indices);
-  return MakeNode(
-      static_cast<int64_t>(indices.size()), a.cols(), {a}, kGatherRowsTraits,
-      /*attr_key=*/0,
-      [idx](Node* n, Tensor* out) {
-        const Tensor& x = n->parents[0]->value;
-        *out = Tensor(n->rows, n->cols);
-        Tensor* outp = out;
-        ParallelRows(n->rows, n->cols,
-                     [&x, outp, &idx](int64_t r_lo, int64_t r_hi) {
-                       for (int64_t r = r_lo; r < r_hi; ++r) {
-                         DCHECK_GE((*idx)[r], 0);
-                         DCHECK_LT((*idx)[r], x.rows());
-                         const float* src = x.row((*idx)[r]);
-                         std::copy(src, src + x.cols(), outp->row(r));
-                       }
-                     });
-      },
-      [idx](Node* n) {
-        const Tensor& g = n->grad;
-        Tensor dx(n->parents[0]->rows, n->parents[0]->cols);
-        // Serial scatter in gather order: duplicate indices land on the
-        // same destination row, so the accumulation order must not depend
-        // on a thread partition.
-        for (size_t j = 0; j < idx->size(); ++j) {
-          float* dst = dx.row((*idx)[j]);
-          const float* src = g.row(static_cast<int64_t>(j));
-          for (int64_t c = 0; c < dx.cols(); ++c) dst[c] += src[c];
-        }
-        n->parents[0]->AccumGrad(dx);
-      });
+  const Tensor& x = a.value();
+  Tensor out(static_cast<int64_t>(indices.size()), x.cols());
+  ParallelRows(out.rows(), out.cols(), [&](int64_t r_lo, int64_t r_hi) {
+    for (int64_t r = r_lo; r < r_hi; ++r) {
+      DCHECK_GE(indices[r], 0);
+      DCHECK_LT(indices[r], x.rows());
+      const float* src = x.row(indices[r]);
+      std::copy(src, src + x.cols(), out.row(r));
+    }
+  });
+  return MakeNode(std::move(out), {a}, [idx = indices](Node* n) {
+    const Tensor& g = n->grad;
+    Tensor dx(n->parents[0]->rows(), n->parents[0]->cols());
+    // Serial scatter in gather order: duplicate indices land on the
+    // same destination row, so the accumulation order must not depend
+    // on a thread partition.
+    for (size_t j = 0; j < idx.size(); ++j) {
+      float* dst = dx.row(idx[j]);
+      const float* src = g.row(static_cast<int64_t>(j));
+      for (int64_t c = 0; c < dx.cols(); ++c) dst[c] += src[c];
+    }
+    n->parents[0]->AccumGrad(dx);
+  });
 }
 
 Var ApplyMask(const Var& a, const Tensor& mask) {
   CHECK_EQ(a.rows(), mask.rows());
   CHECK_EQ(a.cols(), mask.cols());
-  // One shared copy of the mask serves both closures.
-  auto mask_ptr = std::make_shared<const Tensor>(mask);
-  return MakeNode(
-      a.rows(), a.cols(), {a}, kApplyMaskTraits, /*attr_key=*/0,
-      [mask_ptr](Node* n, Tensor* out) {
-        CopyInto(n->parents[0]->value, out);
-        float* op = out->data();
-        const float* mp = mask_ptr->data();
-        ParallelElems(out->numel(), [op, mp](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) op[i] *= mp[i];
-        });
-      },
-      [mask_ptr](Node* n) {
-        Tensor g = n->grad;
-        float* gp = g.data();
-        const float* mp = mask_ptr->data();
-        ParallelElems(g.numel(), [gp, mp](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) gp[i] *= mp[i];
-        });
-        n->parents[0]->AccumGrad(g);
-      });
+  Tensor out = a.value();
+  float* op = out.data();
+  const float* mp = mask.data();
+  ParallelElems(out.numel(), [op, mp](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) op[i] *= mp[i];
+  });
+  return MakeNode(std::move(out), {a}, [mask](Node* n) {
+    Tensor g = n->grad;
+    float* gp = g.data();
+    const float* mp = mask.data();
+    ParallelElems(g.numel(), [gp, mp](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) gp[i] *= mp[i];
+    });
+    n->parents[0]->AccumGrad(g);
+  });
 }
 
 }  // namespace autodiff

@@ -2,25 +2,17 @@
 #define CONTRATOPIC_TENSOR_AUTODIFF_H_
 
 // Define-by-run reverse-mode automatic differentiation over 2-D Tensors.
-// Each op builds a Node that remembers its parents, its output shape
-// (inferred at record time), and a pair of closures: a ForwardFn that
-// materializes the value and a backward_fn that pushes gradients to the
-// parents. Backward() runs a reverse topological sweep from a scalar loss.
-// This is the substrate all neural topic models in this repo train on (the
-// paper's models are PyTorch VAEs; see DESIGN.md §2).
+// Each op computes its output eagerly and records a Node that remembers its
+// parents and a backward_fn that pushes gradients to them. Backward() runs
+// a reverse topological sweep from a scalar loss. This is the substrate all
+// neural topic models in this repo train on (the paper's models are PyTorch
+// VAEs; see DESIGN.md §2).
 //
-// Two execution engines share this op set (tensor/engine.h, DESIGN.md §14):
-//
-//   tape   -- every ForwardFn runs immediately at record time (the original
-//             eager behavior).
-//   graph  -- ops are recorded as pending IR nodes; a GraphSession
-//             (tensor/graph.h) executes them in recording order when a
-//             value is demanded, eliding copies via fusion and recycling
-//             buffers through a pooled arena.
-//
-// Because both engines run the *same* ForwardFn closures over the same
-// parent values in the same order, they are bitwise-identical by
-// construction.
+// Op outputs, gradients and backward temporaries are plain Tensors, so
+// while a training run has a BufferPool installed (tensor/arena.h,
+// DESIGN.md §14) they recycle step-shaped buffers instead of hitting the
+// heap; Backward releases each intermediate gradient as soon as it has been
+// consumed.
 //
 // Typical use:
 //   Var w = Var::Leaf(Tensor::GlorotUniform(10, 4, rng),
@@ -38,11 +30,6 @@
 #include "tensor/tensor.h"
 
 namespace contratopic {
-
-namespace graph {
-struct PendingOp;
-}  // namespace graph
-
 namespace autodiff {
 
 using tensor::Tensor;
@@ -50,34 +37,9 @@ using tensor::Tensor;
 class Node;
 using NodePtr = std::shared_ptr<Node>;
 
-// Materializes a node's value into *out, reading parent values through the
-// node. `*out` is normally empty (the closure copies or allocates); the
-// graph engine's fusion pass may instead pre-seed *out with the first
-// parent's buffer, in which case the closure transforms it in place --
-// same kernels, same bits, one copy fewer.
-using ForwardFn = std::function<void(Node*, Tensor*)>;
-
-// Static per-op metadata driving the graph engine's fusion legality rules
-// (DESIGN.md §14.2). One instance per op kind, with static storage.
-struct OpTraits {
-  const char* name;
-  // backward_fn reads this node's own value (e.g. Exp, SoftmaxRows).
-  bool backward_needs_value;
-  // Bit i set: backward_fn reads parents[i]->value (e.g. Mul needs both).
-  uint32_t backward_needs_parents;
-  // ForwardFn is copy-parent0-then-transform, so the copy can be elided by
-  // handing it parent0's buffer directly.
-  bool can_run_in_place;
-};
-
 // One vertex of the computation graph.
 class Node {
  public:
-  Node();
-  ~Node();  // Out of line: PendingOp is incomplete here.
-  Node(const Node&) = delete;
-  Node& operator=(const Node&) = delete;
-
   Tensor value;
   Tensor grad;  // allocated lazily by AccumGrad
   bool requires_grad = false;
@@ -85,32 +47,11 @@ class Node {
   // Distributes this node's grad into parents' grads. Null for leaves.
   std::function<void(Node*)> backward_fn;
 
-  // Output shape, inferred at record time. Authoritative even when `value`
-  // is still pending or was moved into a fused consumer: every shape query
-  // (Var::rows/cols, AccumGrad, backward closures) reads these fields.
-  int64_t rows = 0;
-  int64_t cols = 0;
-
-  // Loop-invariant tracking for the graph engine's hoist cache. Leaves
-  // opted in via MarkInvariant get a process-unique uid; `version` bumps on
-  // every mutable_value() access so stale cache keys never match. An op
-  // node's invariant_key is nonzero iff its result is a pure function of
-  // invariant inputs (computed at record time, persisted so downstream
-  // records can extend the chain).
-  uint64_t leaf_uid = 0;
-  uint64_t version = 0;
-  uint64_t invariant_key = 0;
-
-  // Non-null while this node is recorded in a GraphSession but its forward
-  // has not executed yet. Always null under the tape engine.
-  std::unique_ptr<graph::PendingOp> pending;
+  int64_t rows() const { return value.rows(); }
+  int64_t cols() const { return value.cols(); }
 
   void AccumGrad(const Tensor& g);
 };
-
-// Executes the owning session's pending prefix up to and including `node`
-// (tensor/graph.cc). CHECK-fails if `node` has no pending op.
-void ForcePending(Node* node);
 
 // Value-semantics handle to a Node.
 class Var {
@@ -124,45 +65,29 @@ class Var {
   static Var Constant(Tensor value) { return Leaf(std::move(value), false); }
 
   bool defined() const { return node_ != nullptr; }
-  // Demand the value: under the graph engine this forces the pending
-  // execution prefix (in recording order, so results match the tape).
-  const Tensor& value() const {
-    if (node_->pending != nullptr) ForcePending(node_.get());
-    return node_->value;
-  }
-  Tensor& mutable_value() {
-    if (node_->pending != nullptr) ForcePending(node_.get());
-    ++node_->version;  // Invalidate invariant-cache entries keyed on us.
-    return node_->value;
-  }
+  const Tensor& value() const { return node_->value; }
   const Tensor& grad() const { return node_->grad; }
   bool requires_grad() const { return node_->requires_grad; }
   void ZeroGrad();
   const NodePtr& node() const { return node_; }
 
-  int64_t rows() const { return node_->rows; }
-  int64_t cols() const { return node_->cols; }
+  int64_t rows() const { return node_->rows(); }
+  int64_t cols() const { return node_->cols(); }
 
  private:
   NodePtr node_;
 };
 
-// Declares a frozen leaf (requires_grad == false) loop-invariant, making
-// op chains over it eligible for the graph engine's hoist cache (e.g. the
-// frozen `rho` embedding products). No effect under the tape engine.
-void MarkInvariant(const Var& leaf);
-
 // Runs reverse-mode accumulation from `loss` (must be 1x1). Gradients
-// accumulate into every reachable leaf with requires_grad. Under an active
-// GraphSession, intermediate (non-leaf) gradients are released back to the
-// arena as soon as their backward_fn has consumed them.
+// accumulate into every reachable leaf with requires_grad. Intermediate
+// (non-leaf) gradients are released as soon as their backward_fn has
+// consumed them, so only leaf gradients survive the sweep.
 void Backward(const Var& loss);
 
 // Clears every gradient reachable from `root`, intermediates and leaves
 // alike. Multi-objective training runs several Backward sweeps over one
-// shared graph; under the tape engine intermediate gradients survive a
-// sweep, so each objective's sweep must be wiped before the next one
-// starts or the shared subgraph would re-push stale gradients.
+// shared graph and wipes it between objectives, so each objective's leaf
+// gradients start from zero.
 void ClearGraphGrads(const Var& root);
 
 // ---------------------------------------------------------------------------

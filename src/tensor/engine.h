@@ -1,55 +1,18 @@
 #ifndef CONTRATOPIC_TENSOR_ENGINE_H_
 #define CONTRATOPIC_TENSOR_ENGINE_H_
 
-// Execution-engine selection for the autodiff layer (DESIGN.md §14).
-//
-// Two engines execute the same op graph:
-//
-//   tape   -- the original define-by-run engine: every op runs its forward
-//             at record time and allocates a fresh output tensor.
-//   graph  -- the compiled engine: ops are recorded as pending IR nodes and
-//             executed in recording order when a value is demanded, with
-//             copy-elision fusion, a pooled activation arena, and
-//             memoization of loop-invariant subgraphs (tensor/graph.h).
-//
-// The two engines are bitwise-identical by construction: they share the
-// per-op forward/backward closures and differ only in *when* forwards run
-// and *which buffer* they write into (see DESIGN.md §14.4). Selection
-// mirrors the kernel-backend machinery (tensor/backend.h):
-// CT_EXEC_ENGINE={tape,graph} picks the startup engine (default tape);
-// SetExecEngine / ScopedExecEngine switch at runtime for A/B tests.
-
-#include <string>
+// The autodiff layer has one execution engine, the eager tape
+// (tensor/autodiff.h, DESIGN.md §14). The name stays queryable so run
+// fingerprints can record which engine produced a result.
 
 namespace contratopic {
 namespace tensor {
 
-enum class ExecEngine { kTape, kGraph };
+enum class ExecEngine { kTape };
 
-// The engine new training loops / sessions consult. Resolved once at
-// startup from CT_EXEC_ENGINE, then overridable via SetExecEngine.
-ExecEngine ActiveExecEngine();
+inline ExecEngine ActiveExecEngine() { return ExecEngine::kTape; }
 
-// Makes `engine` the active engine. Takes effect for sessions created
-// afterwards; call between training runs, not mid-step.
-void SetExecEngine(ExecEngine engine);
-
-const char* ExecEngineName(ExecEngine engine);
-
-// Parses "tape"/"graph". Returns false on an unknown name.
-bool ParseExecEngineName(const std::string& name, ExecEngine* engine);
-
-// RAII engine switch for tests and benches.
-class ScopedExecEngine {
- public:
-  explicit ScopedExecEngine(ExecEngine engine);
-  ~ScopedExecEngine();
-  ScopedExecEngine(const ScopedExecEngine&) = delete;
-  ScopedExecEngine& operator=(const ScopedExecEngine&) = delete;
-
- private:
-  ExecEngine prev_;
-};
+inline const char* ExecEngineName(ExecEngine /*engine*/) { return "tape"; }
 
 }  // namespace tensor
 }  // namespace contratopic

@@ -12,9 +12,9 @@
 //
 // The contract has two halves:
 //   * Within a precision, results are still bitwise identical across
-//     kernel backends, thread counts, and execution engines -- the
-//     quantized kernels live in the backend dispatch tables and follow
-//     the same canonical-order rules (backend.h).
+//     kernel backends and thread counts -- the quantized kernels live in
+//     the backend dispatch tables and follow the same canonical-order
+//     rules (backend.h).
 //   * Across precisions, ranked top-words are invariant (serving answers
 //     TopicTopWords from the checkpoint's fp32-derived id lists) and
 //     theta is bounded by the documented tolerance

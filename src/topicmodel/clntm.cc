@@ -29,11 +29,9 @@ NeuralTopicModel::BatchGraph ClntmModel::BuildBatch(const Batch& batch) {
   ElboGraph g = BuildElbo(batch);
   CHECK(batch.corpus != nullptr);
 
-  // Views driven by the detached reconstruction theta . beta: reading
-  // word_probs' value here forces the pending prefix under the graph
-  // engine (same precedent as ContraTopic's CandidateWords); the views
-  // themselves enter the graph as constants, so no gradient flows through
-  // the substitution.
+  // Views driven by the detached reconstruction theta . beta: the views
+  // enter the graph as constants, so no gradient flows through the
+  // substitution.
   const Tensor tfidf = batch.corpus->TfIdfBatch(batch.indices, doc_freq_);
   Tensor positive;
   Tensor negative;

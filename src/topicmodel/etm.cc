@@ -17,9 +17,6 @@ EtmModel::EtmModel(const TrainConfig& config,
     : NeuralTopicModel(std::move(name), config), options_(options) {
   CHECK_GT(embeddings.vocab_size(), 0);
   rho_ = Var::Constant(embeddings.vectors());
-  // Frozen across the whole run: lets the graph engine hoist products over
-  // rho out of the step loop (tensor/graph.h).
-  MarkInvariant(rho_);
   topic_embeddings_ = Var::Leaf(
       Tensor::RandNormal(config.num_topics, embeddings.dimension(), rng_,
                          0.0f, 0.02f),

@@ -7,8 +7,7 @@
 #include <optional>
 #include <set>
 
-#include "tensor/engine.h"
-#include "tensor/graph.h"
+#include "tensor/arena.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -199,13 +198,12 @@ TrainStats NeuralTopicModel::RunTrainingLoop(const text::BowCorpus& corpus,
                                              const TrainingState* resume) {
   SetTraining(true);
 
-  // Engine selection (DESIGN.md §14): with CT_EXEC_ENGINE=graph this
-  // installs a thread-local GraphSession for the whole training run, so
-  // every autodiff op below records into the graph IR instead of executing
-  // eagerly. Inert (pure tape) otherwise. Covers the dist branch too: each
-  // forked worker re-enters RunTrainingLoop and installs its own session.
-  graph::GraphSession graph_session(tensor::ActiveExecEngine() ==
-                                    tensor::ExecEngine::kGraph);
+  // The training arena (DESIGN.md §14): every tensor this thread allocates
+  // during the run recycles step-shaped buffers through one pool, so after
+  // the first step the hot path barely touches the heap. Covers the dist
+  // branch too: each forked worker re-enters RunTrainingLoop and installs
+  // its own pool.
+  tensor::ScopedBufferPool arena;
 
   nn::Adam adam(config_.learning_rate);
   text::BatchIterator batches(corpus.num_docs(), config_.batch_size, rng_);
@@ -630,10 +628,8 @@ TrainStats NeuralTopicModel::RunTrainingLoop(const text::BowCorpus& corpus,
         // Models must expose beta; guard against subclass bugs early.
         LOG(FATAL) << name_ << "::BuildBatch returned undefined beta";
       }
-      // Materialize beta before the optimizer mutates parameters. A beta
-      // the loss never consumes (ProdLDA, WeTe) is still pending under the
-      // graph engine here; forcing it after adam.Step() would read the
-      // post-update weights and break tape/graph bitwise identity.
+      // The beta this step's loss was computed from: the tape evaluated it
+      // eagerly in BuildBatch, so adam.Step() below cannot change it.
       step_beta = graph.beta.value();
       // Chaos: pretend the forward pass diverged. Checked by the guard
       // rails below exactly like an organic NaN.

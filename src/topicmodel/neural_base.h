@@ -180,8 +180,7 @@ enum class LossWeighting {
 // accumulated serially in double over tensors in list order and elements
 // in row-major order -- the same canonical-reduction rule the SIMD kernels
 // follow (DESIGN.md §12) -- so the weights, and with them the whole MOO
-// optimizer trajectory, are bitwise thread/backend/engine/process-
-// invariant.
+// optimizer trajectory, are bitwise thread/backend/process-invariant.
 std::vector<double> MultiObjectiveWeights(
     const std::vector<std::vector<Tensor>>& objective_grads);
 

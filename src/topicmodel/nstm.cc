@@ -16,7 +16,6 @@ NstmModel::NstmModel(const TrainConfig& config,
                      const embed::WordEmbeddings& embeddings, Options options)
     : NeuralTopicModel("NSTM", config), options_(options) {
   rho_norm_ = Var::Constant(tensor::RowL2Normalized(embeddings.vectors()));
-  MarkInvariant(rho_norm_);
   topic_embeddings_ = Var::Leaf(
       Tensor::RandNormal(config.num_topics, embeddings.dimension(), rng_,
                          0.0f, 0.1f),

@@ -18,7 +18,6 @@ NtmrModel::NtmrModel(const TrainConfig& config,
       options_(options) {
   embeddings_norm_ =
       Var::Constant(tensor::RowL2Normalized(embeddings.vectors()));
-  MarkInvariant(embeddings_norm_);
 }
 
 NeuralTopicModel::BatchGraph NtmrModel::BuildBatch(const Batch& batch) {

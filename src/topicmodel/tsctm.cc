@@ -23,10 +23,9 @@ NeuralTopicModel::BatchGraph TsctmModel::BuildBatch(const Batch& batch) {
   ElboGraph g = BuildElbo(batch);
   const int64_t batch_size = batch.counts.rows();
 
-  // Quantization: each document is assigned to its argmax topic. Reading
-  // theta's value forces the pending prefix under the graph engine (the
-  // ContraTopic CandidateWords precedent); the strict > keeps the lowest
-  // index on ties, so the assignment is a pure function of theta's bits.
+  // Quantization: each document is assigned to its argmax topic. The strict
+  // > keeps the lowest index on ties, so the assignment is a pure function
+  // of theta's bits.
   const Tensor& theta_value = g.encoded.theta.value();
   std::vector<int> quant(batch_size, 0);
   for (int64_t r = 0; r < batch_size; ++r) {

@@ -17,7 +17,6 @@ WeTeModel::WeTeModel(const TrainConfig& config,
                      std::string name)
     : NeuralTopicModel(std::move(name), config), options_(options) {
   rho_norm_ = Var::Constant(tensor::RowL2Normalized(embeddings.vectors()));
-  MarkInvariant(rho_norm_);
   topic_embeddings_ = Var::Leaf(
       Tensor::RandNormal(config.num_topics, embeddings.dimension(), rng_,
                          0.0f, 0.1f),

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,13 @@ struct UnaryCase {
   std::function<Var(const Var&)> op;
   bool positive_input = false;  // restrict to positive domain (log, sqrt)
 };
+
+// Prints a case by its name. Without this gtest prints the struct's raw
+// bytes, heap pointers included, into the listed test name, which then
+// differs from one build to the next.
+void PrintTo(const UnaryCase& test_case, std::ostream* os) {
+  *os << '"' << test_case.name << '"';
+}
 
 class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 

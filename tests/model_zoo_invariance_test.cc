@@ -6,14 +6,13 @@
 //
 //   * thread-count invariance (DESIGN.md "Parallelism & determinism"),
 //   * SIMD-backend invariance (scalar vs. the best supported backend),
-//   * execution-engine invariance (tape vs. the graph-compiled engine),
 //   * process-count invariance under dist::DataParallelTrainer (§13).
 //
 // Each model trains 2 epochs on the 20NG-sim preset under a grid of
-// {threads} x {backend} x {engine} variants; loss, beta, and test theta
-// must be bitwise identical to the (1 thread, scalar, tape) reference.
-// Gibbs LDA is excluded: it is not a NeuralTopicModel, so the engine /
-// backend axes do not apply.
+// {threads} x {backend} variants; loss, beta, and test theta must be
+// bitwise identical to the (1 thread, scalar) reference. Gibbs LDA is
+// excluded: it is not a NeuralTopicModel, so the backend axis does not
+// apply.
 
 #include <memory>
 #include <string>
@@ -25,7 +24,6 @@
 #include "dist/trainer.h"
 #include "embed/word_embeddings.h"
 #include "tensor/backend.h"
-#include "tensor/engine.h"
 #include "text/synthetic.h"
 #include "topicmodel/neural_base.h"
 #include "util/logging.h"
@@ -63,13 +61,11 @@ struct ZooRun {
 struct Variant {
   int threads = 1;
   tensor::KernelBackendKind backend = tensor::KernelBackendKind::kScalar;
-  tensor::ExecEngine engine = tensor::ExecEngine::kTape;
 };
 
 std::string VariantName(const Variant& v) {
   return "threads=" + std::to_string(v.threads) +
-         " backend=" + std::string(tensor::KernelBackendName(v.backend)) +
-         " engine=" + std::string(tensor::ExecEngineName(v.engine));
+         " backend=" + std::string(tensor::KernelBackendName(v.backend));
 }
 
 // One from-scratch training run: corpus, embeddings, training, and
@@ -77,7 +73,6 @@ std::string VariantName(const Variant& v) {
 // claim covers the whole pipeline, not just the step loop.
 ZooRun TrainZoo(const std::string& model_name, const Variant& variant,
                 topicmodel::LossWeighting weighting) {
-  tensor::ScopedExecEngine scoped_engine(variant.engine);
   tensor::ScopedKernelBackend scoped_backend(variant.backend);
   util::ThreadPool::SetGlobalNumThreads(variant.threads);
 
@@ -116,16 +111,14 @@ ZooRun TrainZoo(const std::string& model_name, const Variant& variant,
 
 void ExpectVariantGridInvariant(const std::string& model_name,
                                 topicmodel::LossWeighting weighting) {
-  const Variant reference_variant;  // 1 thread, scalar, tape
+  const Variant reference_variant;  // 1 thread, scalar
   const ZooRun reference = TrainZoo(model_name, reference_variant, weighting);
   ASSERT_GT(reference.beta.numel(), 0);
 
   const tensor::KernelBackendKind best = tensor::BestSupportedBackend();
   const std::vector<Variant> variants = {
-      {4, tensor::KernelBackendKind::kScalar, tensor::ExecEngine::kTape},
-      {1, best, tensor::ExecEngine::kTape},
-      {1, tensor::KernelBackendKind::kScalar, tensor::ExecEngine::kGraph},
-      {4, best, tensor::ExecEngine::kGraph},
+      {4, tensor::KernelBackendKind::kScalar},
+      {1, best},
   };
   for (const Variant& variant : variants) {
     SCOPED_TRACE(VariantName(variant));
@@ -137,7 +130,7 @@ void ExpectVariantGridInvariant(const std::string& model_name,
 }
 
 // ---------------------------------------------------------------------------
-// Thread x backend x engine grid, fixed weighting: the full neural zoo.
+// Thread x backend grid, fixed weighting: the full neural zoo.
 // ---------------------------------------------------------------------------
 
 class ModelZooInvarianceTest : public ::testing::TestWithParam<std::string> {};
@@ -176,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Process-count invariance: the contrastive trio through the distributed
 // trainer at 1 and 2 workers on one fixed shard grid. (The full zoo rides
-// the thread/backend/engine grid above; the fork-based legs are kept to
+// the thread/backend grid above; the fork-based legs are kept to
 // the new models plus the reference model to bound suite wall-clock.)
 // ---------------------------------------------------------------------------
 

@@ -6,6 +6,7 @@
 #include "nn/optimizer.h"
 #include "nn/serialization.h"
 #include "tensor/kernels.h"
+#include "tensor/quant.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -36,6 +37,29 @@ TEST(LinearTest, ForwardShapeAndBias) {
   const Tensor expected =
       tensor::MatMulNew(x.value(), false, layer.weight().value(), false);
   EXPECT_TRUE(tensor::AllClose(y.value(), expected, 1e-5f));
+}
+
+TEST(LinearTest, TrainingModeDropsThePackedServingWeights) {
+  util::Rng rng(7);
+  Linear layer(32, 16, rng);
+  layer.SetTraining(false);
+  tensor::ScopedServePrecision scoped(tensor::ServePrecision::kBf16);
+  const Var x = Var::Constant(Tensor::Ones(2, 32));
+  const Tensor before = layer.Forward(x).value();
+  // A training round rewrites the weight in place, as the optimizer does.
+  layer.SetTraining(true);
+  layer.weight().node()->value.Scale(2.0f);
+  layer.SetTraining(false);
+  const Tensor after = layer.Forward(x).value();
+  const Tensor want = tensor::MatMulBf16T(
+      x.value(),
+      tensor::Bf16FromTensor(tensor::Transposed(layer.weight().value())),
+      layer.bias().value().data());
+  ASSERT_TRUE(after.same_shape(want));
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    EXPECT_EQ(after.data()[i], want.data()[i]) << "element " << i;
+  }
+  EXPECT_FALSE(tensor::AllClose(before, after, 1e-3f));
 }
 
 TEST(LinearTest, ParametersExposed) {

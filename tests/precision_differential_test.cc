@@ -3,8 +3,8 @@
 // file pins both:
 //
 //   * WITHIN a precision, results are bitwise identical across kernel
-//     backends, thread counts, and execution engines -- the quantized
-//     GEMMs follow the same canonical-order rules as the fp32 kernels.
+//     backends and thread counts -- the quantized GEMMs follow the same
+//     canonical-order rules as the fp32 kernels.
 //     Randomized shapes x {bf16, int8} x {scalar, best-supported} x
 //     {1, 4} threads gives a few hundred configurations per full run.
 //
@@ -36,7 +36,6 @@
 #include "serve/checkpoint.h"
 #include "serve/engine.h"
 #include "tensor/backend.h"
-#include "tensor/engine.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
 #include "text/corpus.h"
@@ -363,26 +362,6 @@ TEST(PrecisionDifferentialTest, ModelThetaBackendAndThreadInvariant) {
     ExpectBackendInvariant(
         [&] { return shared.etm->InferTheta(shared.dataset.test); },
         std::string("InferTheta at ") + ServePrecisionName(p));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(PrecisionDifferentialTest, TapeAndGraphEnginesAgreePerPrecision) {
-  PrecisionFixture& shared = Shared();
-  for (ServePrecision p : {ServePrecision::kFp32, ServePrecision::kBf16,
-                           ServePrecision::kInt8}) {
-    ScopedServePrecision scoped(p);
-    Tensor tape_theta, graph_theta;
-    {
-      ScopedExecEngine tape(ExecEngine::kTape);
-      tape_theta = shared.etm->InferTheta(shared.dataset.test);
-    }
-    {
-      ScopedExecEngine graph(ExecEngine::kGraph);
-      graph_theta = shared.etm->InferTheta(shared.dataset.test);
-    }
-    ExpectBitwise(tape_theta, graph_theta,
-                  std::string("tape vs graph at ") + ServePrecisionName(p));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

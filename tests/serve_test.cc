@@ -320,6 +320,32 @@ TEST(ServeTest, InvalidRequestsAreInvalidArgument) {
   EXPECT_EQ((*engine)->stats().invalid, 4);
 }
 
+TEST(ServeTest, DuplicateCountsPastIntMaxAreInvalidArgument) {
+  ServeFixture& shared = Shared();
+  auto engine = InferenceEngine::Load(shared.etm_checkpoint);
+  ASSERT_TRUE(engine.ok());
+  const int max = std::numeric_limits<int>::max();
+  const InferenceEngine::BowDoc doc = {{2, max}, {2, max}};
+  InferenceEngine::ThetaResult theta = (*engine)->InferTheta(doc);
+  ASSERT_FALSE(theta.ok());
+  EXPECT_EQ(theta.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(theta.status().message().find("word 2"), std::string::npos)
+      << theta.status().message();
+}
+
+TEST(ServeTest, DuplicateCountsSummingToIntMaxAreAccepted) {
+  ServeFixture& shared = Shared();
+  auto engine = InferenceEngine::Load(shared.etm_checkpoint);
+  ASSERT_TRUE(engine.ok());
+  const int max = std::numeric_limits<int>::max();
+  InferenceEngine::ThetaResult split =
+      (*engine)->InferTheta({{2, max - 1}, {2, 1}});
+  ASSERT_TRUE(split.ok()) << split.status();
+  InferenceEngine::ThetaResult whole = (*engine)->InferTheta({{2, max}});
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  EXPECT_EQ(*split, *whole);
+}
+
 TEST(ServeTest, FileAndInMemoryCheckpointsServeIdentically) {
   ServeFixture& shared = Shared();
   auto from_file = InferenceEngine::Load(shared.etm_checkpoint);
