@@ -112,15 +112,7 @@ Tensor ContraTopicModel::KernelSubMatrix(const std::vector<int>& words) const {
   }
   Tensor sub;
   if (options_.variant == Variant::kInnerProduct) {
-    const int n = static_cast<int>(words.size());
-    sub = Tensor(n, n);
-    tensor::ParallelRows(n, n, [&](int64_t lo, int64_t hi) {
-      for (int64_t a = lo; a < hi; ++a) {
-        for (int b = 0; b < n; ++b) {
-          sub.at(a, b) = embedding_cosine_.at(words[a], words[b]);
-        }
-      }
-    });
+    sub = tensor::GatherSquare(embedding_cosine_, words);
   } else {
     CHECK(train_npmi_ != nullptr) << "Prepare() was not called";
     sub = train_npmi_->SubMatrix(words);

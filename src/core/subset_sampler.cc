@@ -30,16 +30,18 @@ SubsetSample SampleTopVWithoutReplacement(const Var& log_weights, int v,
       // Straight-through: hard one-hot forward, relaxed backward. Adding
       // (hard - soft) as a constant keeps the graph's gradient identical
       // to the relaxed p while the forward value becomes the hard vector.
-      Tensor hard_minus_soft(p.rows(), p.cols());
       const Tensor& soft = p.value();
+      const int64_t cols = soft.cols();
+      Tensor hard_minus_soft(soft.rows(), cols);
       for (int64_t row = 0; row < soft.rows(); ++row) {
+        const float* s = soft.row(row);
+        float* out = hard_minus_soft.row(row);
         int64_t argmax = 0;
-        for (int64_t c = 1; c < soft.cols(); ++c) {
-          if (soft.at(row, c) > soft.at(row, argmax)) argmax = c;
+        for (int64_t c = 1; c < cols; ++c) {
+          if (s[c] > s[argmax]) argmax = c;
         }
-        for (int64_t c = 0; c < soft.cols(); ++c) {
-          hard_minus_soft.at(row, c) =
-              (c == argmax ? 1.0f : 0.0f) - soft.at(row, c);
+        for (int64_t c = 0; c < cols; ++c) {
+          out[c] = (c == argmax ? 1.0f : 0.0f) - s[c];
         }
       }
       p = Add(p, Var::Constant(hard_minus_soft));
@@ -65,9 +67,10 @@ std::vector<std::vector<int>> HardSampleTopV(const Tensor& log_weights, int v,
   std::vector<std::vector<int>> out(log_weights.rows());
   const int cols = static_cast<int>(log_weights.cols());
   for (int64_t r = 0; r < log_weights.rows(); ++r) {
+    const float* w = log_weights.row(r);
     std::vector<std::pair<float, int>> keys(cols);
     for (int c = 0; c < cols; ++c) {
-      keys[c] = {log_weights.at(r, c) + static_cast<float>(rng.Gumbel()), c};
+      keys[c] = {w[c] + static_cast<float>(rng.Gumbel()), c};
     }
     std::partial_sort(
         keys.begin(), keys.begin() + v, keys.end(),

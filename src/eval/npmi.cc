@@ -55,16 +55,7 @@ NpmiMatrix NpmiMatrix::FromCounts(const embed::CooccurrenceCounts& counts) {
 }
 
 tensor::Tensor NpmiMatrix::SubMatrix(const std::vector<int>& indices) const {
-  const int n = static_cast<int>(indices.size());
-  tensor::Tensor sub(n, n);
-  for (int a = 0; a < n; ++a) {
-    CHECK_GE(indices[a], 0);
-    CHECK_LT(indices[a], vocab_size());
-    for (int b = 0; b < n; ++b) {
-      sub.at(a, b) = matrix_.at(indices[a], indices[b]);
-    }
-  }
-  return sub;
+  return tensor::GatherSquare(matrix_, indices);
 }
 
 double NpmiMatrix::MeanPairwise(const std::vector<int>& word_ids) const {

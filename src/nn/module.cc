@@ -3,6 +3,7 @@
 #include <memory>
 #include <mutex>
 
+#include "tensor/kernels.h"
 #include "util/string_util.h"
 
 namespace contratopic {
@@ -17,30 +18,29 @@ using autodiff::MatMul;
 using autodiff::Rsqrt;
 using autodiff::Square;
 
-// Packed W^T (out x in rows, the layout the quantized GEMMs read) in each
-// reduced precision, built on first use and dropped whenever the layer
-// enters training mode (the optimizer then rewrites the weight in place).
-// Guarded: eval-mode forwards run on serving pool workers.
-struct LinearQuantCache {
+// W^T (out x in rows: one output feature's weights contiguous, the layout
+// every serving GEMM reads) in each precision, built on first eval-mode use
+// and dropped whenever the layer enters training mode (the optimizer then
+// rewrites the weight in place). The mutex guards the pointers only:
+// eval-mode forwards run on serving pool workers, and each takes its own
+// reference before the GEMM, so the GEMMs themselves run concurrently.
+struct PackedWeightCache {
   std::mutex mu;
-  bool has_bf16 = false;
-  tensor::Bf16Matrix bf16;
-  bool has_int8 = false;
-  tensor::Int8Matrix int8;
+  std::shared_ptr<const Tensor> fp32;
+  std::shared_ptr<const tensor::Bf16Matrix> bf16;
+  std::shared_ptr<const tensor::Int8Matrix> int8;
 };
 
 namespace {
 
-// W is in x out; the serving GEMMs want W^T rows (one output feature's
-// weights, contiguous).
-Tensor TransposeWeight(const Tensor& w) {
-  Tensor wt(w.cols(), w.rows());
-  for (int64_t i = 0; i < w.rows(); ++i) {
-    for (int64_t o = 0; o < w.cols(); ++o) {
-      wt.data()[o * w.rows() + i] = w.data()[i * w.cols() + o];
-    }
-  }
-  return wt;
+// Returns *slot, filling it with build() first when it is empty. `mu` guards
+// the slot; the caller's reference keeps the entry alive past a drop.
+template <typename T, typename Build>
+std::shared_ptr<const T> Cached(std::mutex& mu, std::shared_ptr<const T>* slot,
+                                Build build) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (*slot == nullptr) *slot = std::make_shared<const T>(build());
+  return *slot;
 }
 
 }  // namespace
@@ -50,55 +50,64 @@ Linear::Linear(int64_t in_features, int64_t out_features, util::Rng& rng,
     : name_(std::move(name)),
       weight_(Var::Leaf(Tensor::GlorotUniform(in_features, out_features, rng),
                         /*requires_grad=*/true)),
-      quant_cache_(std::make_shared<LinearQuantCache>()) {
+      packed_(std::make_shared<PackedWeightCache>()) {
   if (with_bias) {
     bias_ = Var::Leaf(Tensor::Zeros(1, out_features), /*requires_grad=*/true);
   }
 }
 
 Var Linear::Forward(const Var& x) {
-  if (!training_) {
-    const tensor::ServePrecision precision = tensor::ActiveServePrecision();
-    if (precision != tensor::ServePrecision::kFp32 &&
-        tensor::QuantizableShape(weight_.rows(), weight_.cols())) {
-      return QuantizedForward(x, precision);
-    }
-  }
+  if (!training_) return EvalForward(x.value());
   Var out = MatMul(x, weight_);
   if (bias_.defined()) out = BroadcastRowAdd(out, bias_);
   return out;
 }
 
-Var Linear::QuantizedForward(const Var& x,
-                             tensor::ServePrecision precision) {
-  // The quantized GEMM runs outside the autodiff graph and the result
-  // enters it as a constant (no eval-mode caller differentiates through a
-  // frozen layer).
-  const Tensor& xv = x.value();
-  const float* bias =
-      bias_.defined() ? bias_.value().data() : nullptr;
-  LinearQuantCache& cache = *quant_cache_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (precision == tensor::ServePrecision::kBf16) {
-    if (!cache.has_bf16) {
-      cache.bf16 = tensor::Bf16FromTensor(TransposeWeight(weight_.value()));
-      cache.has_bf16 = true;
+Var Linear::EvalForward(const Tensor& x) {
+  // The GEMM runs outside the autodiff graph against the cached W^T and the
+  // result enters it as a constant (no eval-mode caller differentiates
+  // through a frozen layer). fp32 computes the same dots as the training
+  // path, so its bits match MatMul(x, W) + b exactly.
+  PackedWeightCache& cache = *packed_;
+  const float* bias = bias_.defined() ? bias_.value().data() : nullptr;
+  tensor::ServePrecision precision = tensor::ActiveServePrecision();
+  if (!tensor::QuantizableShape(weight_.rows(), weight_.cols())) {
+    precision = tensor::ServePrecision::kFp32;
+  }
+  const auto transposed = [this] {
+    return tensor::Transposed(weight_.value());
+  };
+  switch (precision) {
+    case tensor::ServePrecision::kBf16: {
+      const auto wt = Cached(cache.mu, &cache.bf16, [&] {
+        return tensor::Bf16FromTensor(transposed());
+      });
+      return Var::Constant(tensor::MatMulBf16T(x, *wt, bias));
     }
-    return Var::Constant(tensor::MatMulBf16T(xv, cache.bf16, bias));
+    case tensor::ServePrecision::kInt8: {
+      const auto wt = Cached(cache.mu, &cache.int8, [&] {
+        return tensor::Int8FromTensor(transposed());
+      });
+      return Var::Constant(tensor::MatMulInt8T(x, *wt, bias));
+    }
+    case tensor::ServePrecision::kFp32:
+      break;
   }
-  if (!cache.has_int8) {
-    cache.int8 = tensor::Int8FromTensor(TransposeWeight(weight_.value()));
-    cache.has_int8 = true;
+  const auto wt = Cached(cache.mu, &cache.fp32, transposed);
+  Tensor out = tensor::MatMulNew(x, false, *wt, true);
+  if (bias_.defined()) {
+    tensor::BroadcastRow(out, bias_.value(), tensor::BinaryOp::kAdd, &out);
   }
-  return Var::Constant(tensor::MatMulInt8T(xv, cache.int8, bias));
+  return Var::Constant(std::move(out));
 }
 
 void Linear::SetTraining(bool training) {
   Module::SetTraining(training);
   if (!training) return;
-  std::lock_guard<std::mutex> lock(quant_cache_->mu);
-  quant_cache_->has_bf16 = false;
-  quant_cache_->has_int8 = false;
+  std::lock_guard<std::mutex> lock(packed_->mu);
+  packed_->fp32.reset();
+  packed_->bf16.reset();
+  packed_->int8.reset();
 }
 
 std::vector<Parameter> Linear::Parameters() {

@@ -59,21 +59,20 @@ class Module {
   bool training_ = true;
 };
 
-// Lazily built packed reduced-precision weights for a Linear layer's
-// serving path (module.cc owns the definition). Shared across copies of
-// the layer -- copies share the same weight node, so one cache serves all
-// of them.
-struct LinearQuantCache;
+// Lazily built packed W^T for a Linear layer's eval-mode path (module.cc
+// owns the definition). Shared across copies of the layer -- copies share
+// the same weight node, so one cache serves all of them.
+struct PackedWeightCache;
 
 // Fully connected layer: y = x W + b.
 //
-// In evaluation mode, when the active serving precision (tensor/quant.h)
-// is bf16 or int8 and the weight passes the quantization policy, Forward
-// computes y against a cached packed W^T in that precision and returns a
-// constant: serving trades bits for throughput under the documented
-// tolerance contract (DESIGN.md §15). Training-mode forwards -- and any
-// weight too small to be worth quantizing -- always take the fp32
-// bitwise path.
+// In evaluation mode Forward computes y against a cached W^T in the active
+// serving precision (tensor/quant.h) and returns a constant. At fp32 --
+// and for any weight too small to be worth quantizing -- the bits equal
+// the training path's MatMul(x, W) + b; bf16 and int8 trade bits for
+// throughput under the documented tolerance contract (DESIGN.md §15).
+// The cache is keyed on nothing but the training flag: code that rewrites
+// the weight outside training must pass through SetTraining(true).
 class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, util::Rng& rng,
@@ -81,7 +80,7 @@ class Linear : public Module {
 
   Var Forward(const Var& x);
 
-  // Entering training mode drops the packed reduced-precision weights.
+  // Entering training mode drops the cached W^T in every precision.
   void SetTraining(bool training) override;
 
   std::vector<Parameter> Parameters() override;
@@ -90,12 +89,12 @@ class Linear : public Module {
   const Var& bias() const { return bias_; }
 
  private:
-  Var QuantizedForward(const Var& x, tensor::ServePrecision precision);
+  Var EvalForward(const Tensor& x);
 
   std::string name_;
   Var weight_;  // in x out
   Var bias_;    // 1 x out (undefined if with_bias == false)
-  std::shared_ptr<LinearQuantCache> quant_cache_;
+  std::shared_ptr<PackedWeightCache> packed_;
 };
 
 // 1-D batch normalization over feature columns, with running statistics

@@ -596,11 +596,12 @@ Var ColSum(const Var& a) {
     const Tensor& g = n->grad;  // 1 x cols
     const int64_t rows = n->parents[0]->rows();
     const int64_t cols = n->parents[0]->cols();
+    CHECK_EQ(g.numel(), cols);
+    const float* gv = g.data();
     Tensor dx(rows, cols);
     ParallelRows(rows, cols, [&](int64_t r_lo, int64_t r_hi) {
       for (int64_t r = r_lo; r < r_hi; ++r) {
-        float* dr = dx.row(r);
-        for (int64_t c = 0; c < cols; ++c) dr[c] = g.at(0, c);
+        std::copy(gv, gv + cols, dx.row(r));
       }
     });
     n->parents[0]->AccumGrad(dx);
@@ -695,25 +696,27 @@ Var BroadcastRowOp(const Var& a, const Var& row, BinaryOp op) {
   return MakeNode(std::move(out), {a, row}, [op](Node* n) {
     const Tensor& g = n->grad;
     const Tensor& av = n->parents[0]->value;
-    const Tensor& rv = n->parents[1]->value;
+    const float* rv = n->parents[1]->value.data();
+    const int64_t cols = av.cols();
+    CHECK(g.same_shape(av));
+    CHECK_EQ(n->parents[1]->value.numel(), cols);
     if (n->parents[0]->requires_grad) {
-      Tensor da(av.rows(), av.cols());
-      ParallelRows(av.rows(), av.cols(), [&](int64_t r_lo, int64_t r_hi) {
+      Tensor da(av.rows(), cols);
+      ParallelRows(av.rows(), cols, [&](int64_t r_lo, int64_t r_hi) {
         for (int64_t r = r_lo; r < r_hi; ++r) {
           const float* gr = g.row(r);
           float* dr = da.row(r);
-          for (int64_t j = 0; j < av.cols(); ++j) {
-            const float b = rv.at(0, j);
+          for (int64_t j = 0; j < cols; ++j) {
             switch (op) {
               case BinaryOp::kAdd:
               case BinaryOp::kSub:
                 dr[j] = gr[j];
                 break;
               case BinaryOp::kMul:
-                dr[j] = gr[j] * b;
+                dr[j] = gr[j] * rv[j];
                 break;
               case BinaryOp::kDiv:
-                dr[j] = gr[j] / b;
+                dr[j] = gr[j] / rv[j];
                 break;
             }
           }
@@ -728,26 +731,26 @@ Var BroadcastRowOp(const Var& a, const Var& row, BinaryOp op) {
       // (util/parallel.h).
       Tensor dr = util::ParallelReduceOrdered(
           util::ThreadPool::Global(), 0, av.rows(), kGradReduceGridRows,
-          Tensor(1, rv.cols()),
+          Tensor(1, cols),
           [&](int64_t r_lo, int64_t r_hi) {
-            Tensor partial(1, rv.cols());
+            Tensor partial(1, cols);
+            float* acc = partial.data();
             for (int64_t r = r_lo; r < r_hi; ++r) {
               const float* gr = g.row(r);
               const float* ar = av.row(r);
-              for (int64_t j = 0; j < av.cols(); ++j) {
-                const float b = rv.at(0, j);
+              for (int64_t j = 0; j < cols; ++j) {
                 switch (op) {
                   case BinaryOp::kAdd:
-                    partial.at(0, j) += gr[j];
+                    acc[j] += gr[j];
                     break;
                   case BinaryOp::kSub:
-                    partial.at(0, j) -= gr[j];
+                    acc[j] -= gr[j];
                     break;
                   case BinaryOp::kMul:
-                    partial.at(0, j) += gr[j] * ar[j];
+                    acc[j] += gr[j] * ar[j];
                     break;
                   case BinaryOp::kDiv:
-                    partial.at(0, j) += -gr[j] * ar[j] / (b * b);
+                    acc[j] += -gr[j] * ar[j] / (rv[j] * rv[j]);
                     break;
                 }
               }

@@ -160,19 +160,42 @@ void LogSumExpRows(const Tensor& x, const Tensor* mask, Tensor* out) {
 }
 
 Tensor Transposed(const Tensor& x) {
-  Tensor out(x.cols(), x.rows());
+  const int64_t rows = x.rows();
+  const int64_t cols = x.cols();
+  Tensor out(cols, rows);
+  const float* src = x.data();
+  float* dst = out.data();
   constexpr int64_t kBlock = 32;
-  ParallelRows(x.rows(), x.cols(), [&x, &out](int64_t r_lo, int64_t r_hi) {
+  ParallelRows(rows, cols, [=](int64_t r_lo, int64_t r_hi) {
     for (int64_t rb = r_lo; rb < r_hi; rb += kBlock) {
       const int64_t r_end = std::min(r_hi, rb + kBlock);
-      for (int64_t cb = 0; cb < x.cols(); cb += kBlock) {
-        const int64_t c_end = std::min(x.cols(), cb + kBlock);
+      for (int64_t cb = 0; cb < cols; cb += kBlock) {
+        const int64_t c_end = std::min(cols, cb + kBlock);
         for (int64_t r = rb; r < r_end; ++r) {
+          const float* src_row = src + r * cols;
           for (int64_t c = cb; c < c_end; ++c) {
-            out.at(c, r) = x.at(r, c);
+            dst[c * rows + r] = src_row[c];
           }
         }
       }
+    }
+  });
+  return out;
+}
+
+Tensor GatherSquare(const Tensor& x, const std::vector<int>& indices) {
+  const int64_t n = static_cast<int64_t>(indices.size());
+  for (const int i : indices) {
+    CHECK_GE(i, 0);
+    CHECK_LT(i, x.rows());
+    CHECK_LT(i, x.cols());
+  }
+  Tensor out(n, n);
+  ParallelRows(n, n, [&](int64_t a_lo, int64_t a_hi) {
+    for (int64_t a = a_lo; a < a_hi; ++a) {
+      const float* src = x.row(indices[a]);
+      float* dst = out.row(a);
+      for (int64_t b = 0; b < n; ++b) dst[b] = src[indices[b]];
     }
   });
   return out;

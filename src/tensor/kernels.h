@@ -15,6 +15,7 @@
 // is purely a speed knob: results do not depend on CT_KERNEL_BACKEND.
 
 #include <functional>
+#include <vector>
 
 #include "tensor/backend.h"
 #include "tensor/tensor.h"
@@ -57,6 +58,11 @@ void LogSumExpRows(const Tensor& x, const Tensor* mask, Tensor* out);
 
 // Returns transposed copy.
 Tensor Transposed(const Tensor& x);
+
+// out[a,b] = x[indices[a], indices[b]]: the square sub-block of a word-word
+// kernel (NPMI, embedding cosine) at the given words. Every index is
+// CHECKed against x's shape once, up front.
+Tensor GatherSquare(const Tensor& x, const std::vector<int>& indices);
 
 // Row-wise reductions.
 Tensor RowSum(const Tensor& x);   // -> (rows x 1)

@@ -850,19 +850,26 @@ Tensor NeuralTopicModel::InferTheta(const text::BowCorpus& corpus) {
   CHECK(trained_) << name_ << " is not trained";
   SetTraining(false);
   Tensor theta(corpus.num_docs(), config_.num_topics);
-  const int batch_size = std::max(1, config_.batch_size);
   // Batches are independent in eval mode (forward passes only read model
   // state: dropout is identity, batch-norm uses running stats) and each
-  // writes a disjoint row range of theta. The batch grid is a function of
-  // corpus size and batch_size only, so per-document math — and the result —
-  // is identical at any thread count.
-  const int num_batches = (corpus.num_docs() + batch_size - 1) / batch_size;
+  // writes a disjoint row range of theta. The grid balances the pool: the
+  // batch count is rounded up to a multiple of the thread count (capped at
+  // one document per batch) and rows are split evenly, no batch larger than
+  // batch_size. The grid thus depends on the thread count, but the result
+  // does not: every eval-mode forward is row-independent, so a document's
+  // theta is the same bits in any batch (DESIGN.md §8).
+  const int64_t num_docs = corpus.num_docs();
+  const int64_t batch_size = std::max(1, config_.batch_size);
+  const int64_t threads = util::ThreadPool::Global().num_threads();
+  const int64_t min_batches = (num_docs + batch_size - 1) / batch_size;
+  const int64_t num_batches = std::min(
+      num_docs, (min_batches + threads - 1) / threads * threads);
   util::ThreadPool::Global().ParallelFor(
       0, num_batches,
       [&](int64_t b_lo, int64_t b_hi) {
         for (int64_t b = b_lo; b < b_hi; ++b) {
-          const int begin = static_cast<int>(b) * batch_size;
-          const int end = std::min(corpus.num_docs(), begin + batch_size);
+          const int begin = static_cast<int>(b * num_docs / num_batches);
+          const int end = static_cast<int>((b + 1) * num_docs / num_batches);
           std::vector<int> indices;
           indices.reserve(end - begin);
           for (int i = begin; i < end; ++i) indices.push_back(i);

@@ -15,6 +15,7 @@
 // apply.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -216,6 +217,15 @@ ZooRun TrainZooDistributed(const DistCase& c, int workers) {
   return run;
 }
 
+std::string DistCaseName(const DistCase& c) {
+  return c.model + (c.weighting == topicmodel::LossWeighting::kMoo ? "_moo"
+                                                                   : "_fixed");
+}
+
+// gtest prints a parameter into each ctest name; without this it dumps the
+// struct's raw bytes, heap pointer included, so names changed per build.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << DistCaseName(c); }
+
 class DistZooInvarianceTest : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistZooInvarianceTest, WorkerCountIsBitwiseInvariant) {
@@ -242,10 +252,83 @@ INSTANTIATE_TEST_SUITE_P(
                       DistCase{"contratopic",
                                topicmodel::LossWeighting::kMoo}),
     [](const ::testing::TestParamInfo<DistCase>& info) {
-      return info.param.model +
-             (info.param.weighting == topicmodel::LossWeighting::kMoo
-                  ? "_moo"
-                  : "_fixed");
+      return DistCaseName(info.param);
+    });
+
+// ---------------------------------------------------------------------------
+// InferTheta's batch grid follows the pool size (neural_base.cc), so the
+// same corpus is cut into different batches at 1..4 threads. Eval-mode
+// forwards are row-independent, so the bits must not move: every pool size
+// gives the same theta, and every row equals its document's 1-doc
+// InferThetaBatch. (Gibbs LDA, the zoo's eleventh model, has no batch grid.)
+// ---------------------------------------------------------------------------
+
+class InferThetaGridTest : public ::testing::TestWithParam<std::string> {};
+
+// A corpus of `size` documents cycling through `source`'s documents.
+text::BowCorpus CycledCorpus(const text::BowCorpus& source, int size) {
+  std::vector<text::Document> docs;
+  for (int i = 0; i < size; ++i) {
+    docs.push_back(source.doc(i % source.num_docs()));
+  }
+  return text::BowCorpus(source.vocab(), std::move(docs));
+}
+
+TEST_P(InferThetaGridTest, PoolSizeNeverChangesTheBits) {
+  util::ThreadPool::SetGlobalNumThreads(1);
+  const text::SyntheticConfig config = text::Preset20NG(0.1);
+  const text::SyntheticDataset dataset = text::GenerateSynthetic(config);
+  const embed::WordEmbeddings embeddings =
+      embed::WordEmbeddings::Train(dataset.train, [] {
+        embed::EmbeddingConfig c;
+        c.dimension = 16;
+        return c;
+      }());
+  topicmodel::TrainConfig tc;
+  tc.num_topics = 8;
+  tc.epochs = 1;
+  tc.batch_size = 128;
+  tc.encoder_hidden = 32;
+  tc.encoder_layers = 1;
+  auto model = core::CreateModel(GetParam(), tc, embeddings);
+  auto* neural = dynamic_cast<topicmodel::NeuralTopicModel*>(model.get());
+  ASSERT_NE(neural, nullptr);
+  const topicmodel::TrainStats stats = model->Train(dataset.train);
+  ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+
+  const text::BowCorpus& source = dataset.test;
+  std::vector<Tensor> single(source.num_docs());
+  for (int d = 0; d < source.num_docs(); ++d) {
+    single[d] = neural->InferThetaBatch(source.NormalizedBatch({d}));
+  }
+  for (const int size : {1, 3, 257, 1200}) {
+    SCOPED_TRACE("corpus size " + std::to_string(size));
+    const text::BowCorpus corpus = CycledCorpus(source, size);
+    util::ThreadPool::SetGlobalNumThreads(1);
+    const Tensor reference = model->InferTheta(corpus);
+    ASSERT_EQ(reference.rows(), size);
+    for (int d = 0; d < size; ++d) {
+      const Tensor& want = single[d % source.num_docs()];
+      for (int64_t k = 0; k < reference.cols(); ++k) {
+        ASSERT_EQ(reference.at(d, k), want.at(0, k))
+            << "doc " << d << " topic " << k;
+      }
+    }
+    for (const int threads : {2, 3, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      util::ThreadPool::SetGlobalNumThreads(threads);
+      ExpectBitwiseEqual(reference, model->InferTheta(corpus));
+    }
+  }
+  util::ThreadPool::SetGlobalNumThreads(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NeuralZoo, InferThetaGridTest,
+    ::testing::Values("prodlda", "wlda", "etm", "nstm", "wete", "ntmr",
+                      "vtmrl", "clntm", "tsctm", "contratopic"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
     });
 
 }  // namespace

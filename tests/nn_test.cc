@@ -39,27 +39,79 @@ TEST(LinearTest, ForwardShapeAndBias) {
   EXPECT_TRUE(tensor::AllClose(y.value(), expected, 1e-5f));
 }
 
-TEST(LinearTest, TrainingModeDropsThePackedServingWeights) {
-  util::Rng rng(7);
-  Linear layer(32, 16, rng);
-  layer.SetTraining(false);
-  tensor::ScopedServePrecision scoped(tensor::ServePrecision::kBf16);
-  const Var x = Var::Constant(Tensor::Ones(2, 32));
-  const Tensor before = layer.Forward(x).value();
-  // A training round rewrites the weight in place, as the optimizer does.
-  layer.SetTraining(true);
-  layer.weight().node()->value.Scale(2.0f);
-  layer.SetTraining(false);
-  const Tensor after = layer.Forward(x).value();
-  const Tensor want = tensor::MatMulBf16T(
-      x.value(),
-      tensor::Bf16FromTensor(tensor::Transposed(layer.weight().value())),
-      layer.bias().value().data());
-  ASSERT_TRUE(after.same_shape(want));
-  for (int64_t i = 0; i < want.numel(); ++i) {
-    EXPECT_EQ(after.data()[i], want.data()[i]) << "element " << i;
+// The eval-mode W^T a layer computes with at `precision`, built from
+// scratch: the reference for the layer's cached copy.
+Tensor FreshEvalForward(const Linear& layer, const Tensor& x,
+                        tensor::ServePrecision precision) {
+  const Tensor wt = tensor::Transposed(layer.weight().value());
+  const float* bias = layer.bias().value().data();
+  switch (precision) {
+    case tensor::ServePrecision::kBf16:
+      return tensor::MatMulBf16T(x, tensor::Bf16FromTensor(wt), bias);
+    case tensor::ServePrecision::kInt8:
+      return tensor::MatMulInt8T(x, tensor::Int8FromTensor(wt), bias);
+    case tensor::ServePrecision::kFp32:
+      break;
   }
-  EXPECT_FALSE(tensor::AllClose(before, after, 1e-3f));
+  Tensor out = tensor::MatMulNew(x, false, layer.weight().value(), false);
+  tensor::BroadcastRow(out, layer.bias().value(), tensor::BinaryOp::kAdd,
+                       &out);
+  return out;
+}
+
+void ExpectBitwiseEqual(const Tensor& got, const Tensor& want) {
+  ASSERT_TRUE(got.same_shape(want))
+      << got.ShapeString() << " vs " << want.ShapeString();
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << "element " << i;
+  }
+}
+
+TEST(LinearTest, TrainingModeDropsThePackedServingWeights) {
+  for (const tensor::ServePrecision precision :
+       {tensor::ServePrecision::kFp32, tensor::ServePrecision::kBf16,
+        tensor::ServePrecision::kInt8}) {
+    SCOPED_TRACE(tensor::ServePrecisionName(precision));
+    util::Rng rng(7);
+    Linear layer(32, 16, rng);
+    layer.bias().node()->value.Fill(0.25f);
+    layer.SetTraining(false);
+    tensor::ScopedServePrecision scoped(precision);
+    const Var x = Var::Constant(Tensor::Ones(2, 32));
+    const Tensor before = layer.Forward(x).value();
+    // A training round rewrites the weight in place, as the optimizer does.
+    layer.SetTraining(true);
+    layer.weight().node()->value.Scale(2.0f);
+    layer.SetTraining(false);
+    const Tensor after = layer.Forward(x).value();
+    ExpectBitwiseEqual(after, FreshEvalForward(layer, x.value(), precision));
+    EXPECT_FALSE(tensor::AllClose(before, after, 1e-3f));
+  }
+}
+
+TEST(LinearTest, EvalModeFp32ForwardIsBitwiseMatMulPlusBias) {
+  util::Rng rng(11);
+  Linear layer(70, 37, rng);
+  Tensor bias(1, 37);
+  for (int64_t o = 0; o < 37; ++o) bias.data()[o] = 0.01f * (o - 18);
+  layer.bias().node()->value = bias;
+  Tensor x(5, 70);
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.Normal());
+  }
+  const Tensor train_mode = layer.Forward(Var::Constant(x)).value();
+  layer.SetTraining(false);
+  tensor::ScopedServePrecision scoped(tensor::ServePrecision::kFp32);
+  Tensor want = tensor::MatMulNew(x, false, layer.weight().value(), false);
+  for (int64_t r = 0; r < want.rows(); ++r) {
+    for (int64_t o = 0; o < want.cols(); ++o) {
+      want.at(r, o) = want.at(r, o) + bias.at(0, o);
+    }
+  }
+  // Twice: the first call builds the cached W^T, the second reads it.
+  ExpectBitwiseEqual(layer.Forward(Var::Constant(x)).value(), want);
+  ExpectBitwiseEqual(layer.Forward(Var::Constant(x)).value(), want);
+  ExpectBitwiseEqual(train_mode, want);
 }
 
 TEST(LinearTest, ParametersExposed) {

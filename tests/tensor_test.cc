@@ -199,6 +199,42 @@ TEST(KernelsTest, TransposedRoundTrip) {
   EXPECT_FLOAT_EQ(t.at(5, 7), x.at(7, 5));
 }
 
+TEST(KernelsTest, TransposedMatchesTheElementDefinition) {
+  util::Rng rng(16);
+  // Row and column vectors, shapes off the 32-wide block grid, a shape
+  // large enough to split across the pool, and no rows at all.
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 70}, {70, 1}, {33, 65}, {300, 97}, {0, 5}};
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+    const Tensor x = Tensor::RandNormal(rows, cols, rng);
+    const Tensor t = Transposed(x);
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(t.at(c, r), x.at(r, c)) << "(" << r << ", " << c << ")";
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GatherSquareMatchesTheElementDefinition) {
+  util::Rng rng(17);
+  const Tensor x = Tensor::RandNormal(40, 40, rng);
+  const std::vector<int> words = {39, 0, 7, 7, 21};
+  const Tensor sub = GatherSquare(x, words);
+  ASSERT_EQ(sub.rows(), 5);
+  ASSERT_EQ(sub.cols(), 5);
+  for (size_t a = 0; a < words.size(); ++a) {
+    for (size_t b = 0; b < words.size(); ++b) {
+      EXPECT_EQ(sub.at(a, b), x.at(words[a], words[b]));
+    }
+  }
+  EXPECT_EQ(GatherSquare(x, {}).numel(), 0);
+  EXPECT_DEATH(GatherSquare(x, {3, 40}), "Check failed");
+}
+
 TEST(KernelsTest, RowColReductions) {
   Tensor x(2, 3, {1, 2, 3, 4, 5, 6});
   const Tensor rs = RowSum(x);
