@@ -23,16 +23,6 @@
 // counters land in the manifest (validated by
 // check_telemetry.py --mode=faults).
 //
-// Distributed phase (DESIGN.md §13): --workers=N trains the same model
-// through dist::DataParallelTrainer at every power-of-two worker count up
-// to N, all on one fixed shard grid, and demands bitwise-identical beta /
-// theta / loss / coherence across worker counts — the process-count
-// invariance contract. --dist-chaos adds a leg that kills rank 1
-// mid-epoch via the "dist.worker_kill.rank1" fault site and requires the
-// auto-restarted run to match the uninterrupted legs bit for bit. The
-// scaling table lands in bench_results/dist_scaling_<preset>.tsv and any
-// mismatch makes the exit code non-zero.
-//
 // Arena gate (DESIGN.md §14): both thread legs count tensor-buffer heap
 // allocations and training-arena pool hits per training step, first
 // (warm-up) epoch excluded, and print them with the per-step wall time.
@@ -41,7 +31,7 @@
 // the arena stops recycling buffers.
 //
 // Model axis: --model=<zoo name> (default contratopic) points every leg —
-// serial/parallel, chaos, distributed — at another model from
+// serial/parallel and chaos — at another model from
 // core::CreateModel, so the whole bitwise gate battery runs against any
 // zoo member (the model-zoo invariance contract, e.g. --model=clntm or
 // --model=tsctm). --loss-weighting=moo switches neural models from the
@@ -51,7 +41,7 @@
 //
 // Usage: bench_parallel_training [--preset=20ng-sim] [--threads=4]
 //        [--epochs=...] [--docs=...] [--telemetry=<path>]
-//        [--kill-at-epoch=N] [--resume] [--workers=N] [--dist-chaos]
+//        [--kill-at-epoch=N] [--resume]
 //        [--model=<zoo name>] [--loss-weighting=fixed|moo]
 // Writes bench_results/parallel_training_<run>.tsv and
 // bench_results/telemetry_<run>.jsonl (override with --telemetry=),
@@ -70,7 +60,6 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "dist/trainer.h"
 #include "tensor/arena.h"
 #include "eval/clustering.h"
 #include "serve/checkpoint.h"
@@ -455,154 +444,23 @@ bool RunServeChaos(const bench::ExperimentContext& context,
   return sequence_ok && stats.retries >= 1 && stats.degraded >= 1 && healthy;
 }
 
-// ---- Distributed phase (--workers= / --dist-chaos) -----------------------
-
-struct DistLegResult {
-  int workers = 0;
-  double train_seconds = 0.0;
-  float final_loss = 0.0f;
-  double mean_coherence = 0.0;
-  tensor::Tensor beta;
-  tensor::Tensor theta;
-  bool ok = false;
-};
-
-// One distributed training run at `workers` ranks on the shared
-// `num_shards` grid. Bench telemetry is NOT attached to the model here:
-// the trainer forks, and an inherited JSONL sink would have every rank
-// appending to the parent's file. Stage timings are recorded from the
-// parent only.
-DistLegResult RunDistLeg(int workers, int num_shards,
-                         const bench::ExperimentContext& context,
-                         const bench::BenchConfig& bench_config,
-                         util::RunTelemetry* telemetry) {
-  DistLegResult leg;
-  leg.workers = workers;
-  telemetry->RecordRunStart(
-      util::StrFormat("dist_training[workers=%d]", workers),
-      {{"dataset", context.config.name},
-       {"model", bench_config.model},
-       {"workers", std::to_string(workers)},
-       {"shards", std::to_string(num_shards)},
-       {"epochs", std::to_string(bench_config.train.epochs)}});
-
-  auto model = BuildBenchModel(context, bench_config);
-  auto* neural = dynamic_cast<topicmodel::NeuralTopicModel*>(model.get());
-  CHECK(neural != nullptr) << "--workers needs a neural --model";
-
-  dist::Options dist_options;
-  dist_options.workers = workers;
-  dist_options.num_shards = num_shards;
-  dist::DataParallelTrainer trainer(neural, dist_options);
-
-  util::TraceSpan span("dist_train");
-  const util::StatusOr<topicmodel::TrainStats> stats =
-      trainer.Train(context.dataset.train);
-  leg.train_seconds = span.ElapsedSeconds();
-  if (!stats.ok() || !stats->status.ok() || stats->interrupted) {
-    std::printf("dist: ERROR: workers=%d run failed: %s\n", workers,
-                (stats.ok() ? stats->status : stats.status())
-                    .ToString()
-                    .c_str());
-    return leg;
-  }
-  leg.final_loss = static_cast<float>(stats->final_loss);
-  leg.beta = neural->Beta();
-  leg.theta = neural->InferTheta(context.dataset.test);
-  const std::vector<double> coherence =
-      eval::PerTopicCoherence(leg.beta, *context.test_npmi, 10);
-  for (double c : coherence) leg.mean_coherence += c;
-  if (!coherence.empty()) {
-    leg.mean_coherence /= static_cast<double>(coherence.size());
-  }
-  telemetry->RecordStage(
-      util::StrFormat("dist_train[workers=%d]", workers), leg.train_seconds,
-      {{"final_loss", leg.final_loss}, {"npmi", leg.mean_coherence}});
-  leg.ok = true;
-  return leg;
-}
-
-// Chaos leg: rank 1 of a 2-worker group dies two steps into epoch 2 (the
-// epoch-1 checkpoint already exists), the trainer auto-restarts from it,
-// and the recovered run must match the uninterrupted reference leg
-// bitwise — the crash-recovery half of the §13 contract.
-bool RunDistChaosLeg(int num_shards, const bench::ExperimentContext& context,
-                     const bench::BenchConfig& bench_config,
-                     const DistLegResult& reference,
-                     util::RunTelemetry* telemetry) {
-  const int batch = bench_config.train.batch_size;
-  const int steps_per_epoch =
-      std::max(1, context.dataset.train.num_docs() / batch);
-  const int total_steps = steps_per_epoch * bench_config.train.epochs;
-  if (bench_config.train.epochs < 2 || total_steps < steps_per_epoch + 2) {
-    std::printf(
-        "dist: chaos leg skipped: %d epoch(s) x %d step(s) leaves no room "
-        "for a mid-epoch-2 kill\n",
-        bench_config.train.epochs, steps_per_epoch);
-    return true;
-  }
-  const std::string path = std::string(bench::kResultsDir) + "/dist_chaos_" +
-                           context.config.name + ".ckpt";
-  telemetry->RecordRunStart("dist_chaos[workers=2]",
-                            {{"dataset", context.config.name},
-                             {"checkpoint", path},
-                             {"shards", std::to_string(num_shards)}});
-
-  auto model = BuildBenchModel(context, bench_config);
-  auto* neural = dynamic_cast<topicmodel::NeuralTopicModel*>(model.get());
-  CHECK(neural != nullptr) << "--dist-chaos needs a neural --model";
-
-  util::FaultSpec kill;
-  kill.every_nth = steps_per_epoch + 2;
-  kill.max_fires = 1;
-  util::FaultInjector::Global().Arm("dist.worker_kill.rank1", kill);
-
-  dist::Options dist_options;
-  dist_options.workers = 2;
-  dist_options.num_shards = num_shards;
-  dist_options.checkpoint_path = path;
-  dist_options.vocab = &context.dataset.train.vocab();
-  dist_options.auto_restart = true;
-  dist::DataParallelTrainer trainer(neural, dist_options);
-
-  util::TraceSpan span("dist_chaos");
-  const util::StatusOr<topicmodel::TrainStats> stats =
-      trainer.Train(context.dataset.train);
-  util::FaultInjector::Global().Reset();
-  std::remove(path.c_str());
-  if (!stats.ok() || !stats->status.ok() || stats->interrupted) {
-    std::printf("dist: chaos leg -> FAILED: %s\n",
-                (stats.ok() ? stats->status : stats.status())
-                    .ToString()
-                    .c_str());
-    return false;
-  }
-  if (trainer.restarts() != 1) {
-    std::printf("dist: chaos leg -> ERROR: the injected kill never fired "
-                "(restarts=%d)\n",
-                trainer.restarts());
-    return false;
-  }
-  const int64_t beta_diff = CountMismatches(neural->Beta(), reference.beta);
-  const tensor::Tensor theta = neural->InferTheta(context.dataset.test);
-  const int64_t theta_diff = CountMismatches(theta, reference.theta);
-  const bool loss_equal =
-      static_cast<float>(stats->final_loss) == reference.final_loss;
-  telemetry->RecordStage("dist_chaos", span.ElapsedSeconds(),
-                         {{"restarts", static_cast<double>(trainer.restarts())},
-                          {"beta_mismatches", static_cast<double>(beta_diff)}});
-  std::printf(
-      "dist: chaos recovery vs uninterrupted: beta mismatches=%lld "
-      "theta mismatches=%lld loss %s (restarts=%d)\n",
-      static_cast<long long>(beta_diff), static_cast<long long>(theta_diff),
-      loss_equal ? "equal" : "DIFFERS", trainer.restarts());
-  return beta_diff == 0 && theta_diff == 0 && loss_equal;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
+  // util::Flags ignores unknown keys, so a stale script passing the
+  // removed forked trainer's flags would otherwise run without the gate
+  // it asked for.
+  for (const char* removed : {"workers", "dist-chaos"}) {
+    if (flags.Has(removed)) {
+      std::fprintf(stderr,
+                   "--%s: the forked multi-process trainer was removed; "
+                   "training is data-parallel over --threads only "
+                   "(DESIGN.md §13)\n",
+                   removed);
+      return 2;
+    }
+  }
   bench::BenchConfig bench_config = bench::ParseBenchConfig(flags);
   // --preset is the canonical spelling (matches text::PresetByName);
   // --dataset stays as an alias for older scripts.
@@ -611,8 +469,6 @@ int main(int argc, char** argv) {
   const int parallel_threads = flags.GetInt("threads", 4);
   int kill_epoch = flags.GetInt("kill-at-epoch", 0);
   const bool resume = flags.GetBool("resume", false);
-  const int dist_workers = flags.GetInt("workers", 0);
-  const bool dist_chaos = flags.GetBool("dist-chaos", false);
   const unsigned hw = std::thread::hardware_concurrency();
 
   const bench::ExperimentContext context =
@@ -694,55 +550,6 @@ int main(int argc, char** argv) {
   }
   util::ThreadPool::SetGlobalNumThreads(0);  // restore hardware default
 
-  // Distributed phase: every power-of-two worker count up to --workers,
-  // all on one fixed shard grid (invariance only holds for a fixed grid).
-  bool dist_ok = true;
-  std::vector<DistLegResult> dist_legs;
-  int num_shards = 4;
-  while (num_shards < dist_workers) num_shards *= 2;
-  if (dist_workers > 0) {
-    for (int w = 1; w <= dist_workers; w *= 2) {
-      dist_legs.push_back(
-          RunDistLeg(w, num_shards, context, bench_config, &telemetry));
-      dist_ok = dist_ok && dist_legs.back().ok;
-    }
-    util::TableWriter dist_table(
-        {"Workers", "train (s)", "speedup", "beta_mismatches",
-         "theta_mismatches", "loss_equal"});
-    const DistLegResult& base = dist_legs.front();
-    for (const DistLegResult& leg : dist_legs) {
-      const int64_t beta_diff =
-          leg.ok && base.ok ? CountMismatches(base.beta, leg.beta) : -1;
-      const int64_t theta_diff =
-          leg.ok && base.ok ? CountMismatches(base.theta, leg.theta) : -1;
-      const bool loss_equal = leg.final_loss == base.final_loss;
-      const bool leg_identical =
-          beta_diff == 0 && theta_diff == 0 && loss_equal &&
-          leg.mean_coherence == base.mean_coherence;
-      dist_ok = dist_ok && leg_identical;
-      dist_table.AddRow(util::StrFormat("%d", leg.workers),
-                        {leg.train_seconds,
-                         leg.train_seconds > 0
-                             ? base.train_seconds / leg.train_seconds
-                             : 0.0,
-                         static_cast<double>(beta_diff),
-                         static_cast<double>(theta_diff),
-                         loss_equal ? 1.0 : 0.0});
-    }
-    bench::EmitTable(
-        util::StrFormat("Distributed data-parallel training, %d shard grid "
-                        "on %s (process-count invariance gate)",
-                        num_shards, run_tag.c_str()),
-        "dist_scaling_" + run_tag, dist_table);
-    if (dist_chaos && dist_ok) {
-      dist_ok = RunDistChaosLeg(num_shards, context, bench_config,
-                                dist_legs.front(), &telemetry);
-    }
-    std::printf("dist phase: %s\n",
-                dist_ok ? "PASS (worker counts bitwise identical)"
-                        : "FAIL (process-count invariance violated)");
-  }
-
   // Determinism contract: both legs must agree bitwise.
   const int64_t beta_diff = CountMismatches(serial.beta, parallel.beta);
   const int64_t theta_diff = CountMismatches(serial.theta, parallel.theta);
@@ -793,11 +600,6 @@ int main(int argc, char** argv) {
       summary.emplace_back("resume_bitwise_identical", chaos_ok ? 1.0 : 0.0);
     }
   }
-  if (dist_workers > 0) {
-    summary.emplace_back("dist_workers_max",
-                         static_cast<double>(dist_legs.back().workers));
-    summary.emplace_back("dist_bitwise_identical", dist_ok ? 1.0 : 0.0);
-  }
   telemetry.RecordManifest(summary);
   const util::Status telemetry_status = telemetry.Flush();
   const bool telemetry_ok =
@@ -821,11 +623,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "note: speedup is bounded by the host's %u hardware thread(s); on a "
-      "single-core host both thread legs — and all --workers processes — "
-      "time-slice one core and speedup ~1.\n",
+      "single-core host both thread legs time-slice one core and speedup "
+      "~1.\n",
       hw);
-  return identical && finite && telemetry_ok && chaos_ok && dist_ok &&
-                 arena_ok
-             ? 0
-             : 1;
+  return identical && finite && telemetry_ok && chaos_ok && arena_ok ? 0 : 1;
 }

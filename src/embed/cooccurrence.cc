@@ -105,65 +105,6 @@ void CooccurrenceCounts::AddWeighted(const text::BowCorpus& corpus) {
   Accumulate(corpus, /*weighted=*/true);
 }
 
-void CooccurrenceCounts::AddPresenceRange(const text::BowCorpus& corpus,
-                                          int64_t begin, int64_t end) {
-  CHECK_EQ(corpus.vocab_size(), vocab_size_);
-  CHECK_GE(begin, 0);
-  CHECK_LE(begin, end);
-  CHECK_LE(end, corpus.num_docs());
-  AccumulateDocRange(corpus, begin, end, /*weighted=*/false, &counts_,
-                     &marginals_);
-  num_docs_ += end - begin;
-}
-
-void CooccurrenceCounts::AddWeightedRange(const text::BowCorpus& corpus,
-                                          int64_t begin, int64_t end) {
-  CHECK_EQ(corpus.vocab_size(), vocab_size_);
-  CHECK_GE(begin, 0);
-  CHECK_LE(begin, end);
-  CHECK_LE(end, corpus.num_docs());
-  AccumulateDocRange(corpus, begin, end, /*weighted=*/true, &counts_,
-                     &marginals_);
-  num_docs_ += end - begin;
-}
-
-void CooccurrenceCounts::Merge(const CooccurrenceCounts& other) {
-  CHECK_EQ(other.vocab_size_, vocab_size_);
-  counts_.AddInPlace(other.counts_);
-  for (int i = 0; i < vocab_size_; ++i) marginals_[i] += other.marginals_[i];
-  num_docs_ += other.num_docs_;
-}
-
-void CooccurrenceCounts::Serialize(util::BinaryWriter* writer) const {
-  writer->WriteU32(static_cast<uint32_t>(vocab_size_));
-  writer->WriteU64(static_cast<uint64_t>(num_docs_));
-  writer->WriteU64(static_cast<uint64_t>(counts_.numel()));
-  writer->WriteBytes(counts_.data(), counts_.numel() * sizeof(float));
-  for (double m : marginals_) writer->WriteF64(m);
-}
-
-util::StatusOr<CooccurrenceCounts> CooccurrenceCounts::Deserialize(
-    util::BinaryReader* reader) {
-  const uint32_t vocab = reader->ReadU32();
-  const uint64_t num_docs = reader->ReadU64();
-  const uint64_t numel = reader->ReadU64();
-  if (!reader->ok() || vocab > (1u << 20) ||
-      numel != static_cast<uint64_t>(vocab) * vocab) {
-    return util::Status::DataLoss(
-        "co-occurrence image has an inconsistent header");
-  }
-  CooccurrenceCounts counts(static_cast<int>(vocab));
-  counts.num_docs_ = static_cast<int64_t>(num_docs);
-  for (int64_t i = 0; i < counts.counts_.numel(); ++i) {
-    counts.counts_.data()[i] = reader->ReadF32();
-  }
-  for (auto& m : counts.marginals_) m = reader->ReadF64();
-  if (!reader->ok()) {
-    return util::Status::DataLoss("co-occurrence image is truncated");
-  }
-  return counts;
-}
-
 void CooccurrenceCounts::Scale(double factor) {
   CHECK_GT(factor, 0.0);
   CHECK_LE(factor, 1.0);

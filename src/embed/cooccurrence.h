@@ -10,8 +10,6 @@
 
 #include "tensor/tensor.h"
 #include "text/corpus.h"
-#include "util/serialize.h"
-#include "util/status.h"
 
 namespace contratopic {
 namespace embed {
@@ -26,26 +24,6 @@ class CooccurrenceCounts {
   // integer-valued so the result is bitwise-identical at any thread count.
   void AddPresence(const text::BowCorpus& corpus);
   void AddWeighted(const text::BowCorpus& corpus);
-
-  // Adds only documents [begin, end) of `corpus`, serially -- the
-  // distributed trainer's sharded build path (DESIGN.md §13), where the
-  // doc grid lives above this class and each worker process accumulates
-  // its own contiguous range. num_docs() grows by (end - begin).
-  void AddPresenceRange(const text::BowCorpus& corpus, int64_t begin,
-                        int64_t end);
-  void AddWeightedRange(const text::BowCorpus& corpus, int64_t begin,
-                        int64_t end);
-
-  // Folds another accumulator over the same vocabulary into this one.
-  // Counts are integer-valued, so merging is exact (bitwise equal to
-  // having accumulated the union directly, for counts below 2^24).
-  void Merge(const CooccurrenceCounts& other);
-
-  // Transport between worker processes: a length-prefixed binary image of
-  // (vocab_size, num_docs, counts, marginals).
-  void Serialize(util::BinaryWriter* writer) const;
-  static util::StatusOr<CooccurrenceCounts> Deserialize(
-      util::BinaryReader* reader);
 
   // Exponential forgetting for streaming settings: multiplies every count
   // (including the effective document count) by `factor` in (0, 1].

@@ -11,7 +11,6 @@
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -58,46 +57,6 @@ std::vector<double> MultiObjectiveWeights(
   }
   for (double& w : weights) w /= inverse_sum;
   return weights;
-}
-
-DistStepPartial CombineDistPartials(DistStepPartial left,
-                                    DistStepPartial right) {
-  if (left.empty) return right;
-  if (right.empty) return left;
-  DistStepPartial out = std::move(left);
-  out.loss += right.loss;
-  // Merge-join the name-sorted component sums (both sides come from the
-  // same model, but an all-empty subtree may have contributed nothing).
-  std::vector<std::pair<std::string, double>> merged;
-  merged.reserve(out.components.size() + right.components.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < out.components.size() || j < right.components.size()) {
-    if (j >= right.components.size() ||
-        (i < out.components.size() &&
-         out.components[i].first < right.components[j].first)) {
-      merged.push_back(std::move(out.components[i++]));
-    } else if (i >= out.components.size() ||
-               right.components[j].first < out.components[i].first) {
-      merged.push_back(std::move(right.components[j++]));
-    } else {
-      merged.emplace_back(
-          out.components[i].first,
-          out.components[i].second + right.components[j].second);
-      ++i;
-      ++j;
-    }
-  }
-  out.components = std::move(merged);
-  CHECK_EQ(out.grads.size(), right.grads.size());
-  for (size_t k = 0; k < out.grads.size(); ++k) {
-    out.grads[k].AddInPlace(right.grads[k]);
-  }
-  CHECK_EQ(out.buffer_deltas.size(), right.buffer_deltas.size());
-  for (size_t k = 0; k < out.buffer_deltas.size(); ++k) {
-    out.buffer_deltas[k].AddInPlace(right.buffer_deltas[k]);
-  }
-  return out;
 }
 
 VaeEncoder::VaeEncoder(int64_t vocab_size, int64_t num_topics,
@@ -200,9 +159,7 @@ TrainStats NeuralTopicModel::RunTrainingLoop(const text::BowCorpus& corpus,
 
   // The training arena (DESIGN.md §14): every tensor this thread allocates
   // during the run recycles step-shaped buffers through one pool, so after
-  // the first step the hot path barely touches the heap. Covers the dist
-  // branch too: each forked worker re-enters RunTrainingLoop and installs
-  // its own pool.
+  // the first step the hot path barely touches the heap.
   tensor::ScopedBufferPool arena;
 
   nn::Adam adam(config_.learning_rate);
@@ -358,368 +315,113 @@ TrainStats NeuralTopicModel::RunTrainingLoop(const text::BowCorpus& corpus,
     {
       util::TraceSpan span("data");
       batch.indices = batches.Next();
-      if (dist_ == nullptr) {
-        // The dist path densifies per shard instead.
-        batch.counts = corpus.DenseBatch(batch.indices);
-        batch.normalized = corpus.NormalizedBatch(batch.indices);
-      }
+      batch.counts = corpus.DenseBatch(batch.indices);
+      batch.normalized = corpus.NormalizedBatch(batch.indices);
       batch.corpus = &corpus;
       data_seconds += span.ElapsedSeconds();
     }
 
-    // The step's loss-derived state, filled by whichever path runs.
-    double batch_loss = 0.0;
+    BatchGraph graph;
+    {
+      util::TraceSpan span("forward");
+      graph = BuildBatch(batch);
+      forward_seconds += span.ElapsedSeconds();
+    }
+    CHECK(graph.loss.defined());
+    // Models must expose beta; guard against subclass bugs early.
+    CHECK(graph.beta.defined())
+        << name_ << "::BuildBatch returned undefined beta";
+    double batch_loss = graph.loss.value().scalar();
+    // Chaos: pretend the forward pass diverged. Checked by the guard
+    // rails below exactly like an organic NaN.
+    if (faults.ShouldFail("train.loss_corrupt")) {
+      batch_loss = std::numeric_limits<double>::quiet_NaN();
+    }
+
+    // Guard rail 1: the batch loss, inspected before any state mutates.
+    if (guard_rails_armed_) {
+      const char* bad = nullptr;
+      if (guard_rails_.check_nonfinite && !std::isfinite(batch_loss)) {
+        bad = "non-finite batch loss";
+      } else if (guard_rails_.loss_spike_factor > 0.0 &&
+                 last_epoch_loss > 0.0 &&
+                 batch_loss >
+                     guard_rails_.loss_spike_factor * last_epoch_loss) {
+        bad = "batch loss spike";
+      }
+      if (bad != nullptr) {
+        if (guard_tripped(bad)) {
+          return stop_early(util::Status::DataLoss(
+              name_ + ": " + bad + " at step " +
+              std::to_string(global_step) + " with the rollback budget (" +
+              std::to_string(guard_rails_.max_rollbacks) + ") exhausted"));
+        }
+        continue;
+      }
+    }
+
     std::vector<std::pair<std::string, double>> step_components;
-    Tensor step_beta;
-    bool grad_bad = false;
-
-    if (dist_ != nullptr) {
-      // ---- Sharded data-parallel step (DESIGN.md §13) ----------------
-      // The batch is cut into the fixed `num_shards` grid; this rank
-      // computes its owned shards, tree-folds them, exchanges the block
-      // with the group, and applies the canonical global fold exactly
-      // like every other replica.
-      const int num_shards = dist_->num_shards;
-      CHECK_GE(static_cast<int>(batch.indices.size()), num_shards)
-          << name_ << ": distributed training needs batch_size >= the "
-          << "shard grid";
-      const std::vector<util::Rng*> streams = TrainingRngs();
-      std::vector<util::Rng::State> base_states;
-      base_states.reserve(streams.size());
-      for (util::Rng* s : streams) base_states.push_back(s->SaveState());
-      const std::vector<nn::NamedTensor> buffers = Buffers();
-      std::vector<Tensor> pre_buffers;
-      pre_buffers.reserve(buffers.size());
-      for (const auto& b : buffers) pre_buffers.push_back(*b.tensor);
-      auto params = Parameters();
-
-      bool beta_recorded = false;
-      // Objective names of this model's graphs, captured from the first
-      // non-empty shard (identical across shards and ranks -- same model
-      // code). In MOO mode part.grads is objective-major: one params-sized
-      // block per objective; the blocks fold elementwise like any other
-      // gradient and are weighted only after the allreduce.
-      std::vector<std::string> objective_names;
-      const auto shard_partial = [&](int64_t s) {
-        DistStepPartial part;
-        const auto [lo, hi] = util::ShardRange(
-            static_cast<int64_t>(batch.indices.size()), s, num_shards);
-        if (lo >= hi) return part;  // empty shard: the fold identity
-        // Rewind every stream to its derived per-(step, shard)
-        // generator: the noise a shard's forward consumes is a pure
-        // function of (salt, stream index, step, shard) -- independent
-        // of which process computes the shard and of rollback history.
-        for (size_t j = 0; j < streams.size(); ++j) {
-          *streams[j] = util::Rng(
-              util::MixBits(dist_->rng_salt +
-                            0x9E3779B97F4A7C15ull * (j + 1)),
-              static_cast<uint64_t>(global_step) * num_shards +
-                  static_cast<uint64_t>(s));
-        }
-        // Every shard updates batch-norm running stats from the same
-        // pre-step values; the per-shard deltas are folded and averaged
-        // into one update below.
-        for (size_t b = 0; b < buffers.size(); ++b) {
-          *buffers[b].tensor = pre_buffers[b];
-        }
-        Batch shard_batch;
-        shard_batch.indices.assign(batch.indices.begin() + lo,
-                                   batch.indices.begin() + hi);
-        shard_batch.counts = corpus.DenseBatch(shard_batch.indices);
-        shard_batch.normalized =
-            corpus.NormalizedBatch(shard_batch.indices);
-        shard_batch.corpus = &corpus;
-        BatchGraph graph;
-        {
-          util::TraceSpan span("forward");
-          graph = BuildBatch(shard_batch);
-          forward_seconds += span.ElapsedSeconds();
-        }
-        CHECK(graph.loss.defined());
-        part.empty = false;
-        part.loss = graph.loss.value().scalar();
-        std::map<std::string, double> comp;
-        for (const auto& [cname, value] : graph.loss_components) {
-          comp[cname] += static_cast<double>(value);
-        }
-        part.components.assign(comp.begin(), comp.end());
-        const bool moo_shard = loss_weighting_ == LossWeighting::kMoo &&
-                               !graph.objectives.empty();
-        if (moo_shard) {
-          if (objective_names.empty()) {
-            for (const auto& [oname, objective] : graph.objectives) {
-              objective_names.push_back(oname);
-            }
-          }
-          CHECK_EQ(objective_names.size(), graph.objectives.size());
-          util::TraceSpan span("backward");
-          part.grads.reserve(graph.objectives.size() * params.size());
-          for (auto& [oname, objective] : graph.objectives) {
-            CHECK(objective.defined())
-                << name_ << ": undefined MOO objective " << oname;
-            autodiff::Backward(objective);
-            for (auto& p : params) {
-              const Tensor& g = p.var.grad();
-              part.grads.push_back(g.numel() > 0
-                                       ? g
-                                       : Tensor(p.var.rows(), p.var.cols()));
-            }
-            // Wipe the shared graph (leaves included) before the next
-            // objective's sweep.
-            autodiff::ClearGraphGrads(objective);
-          }
-          backward_seconds += span.ElapsedSeconds();
-        } else {
-          {
-            util::TraceSpan span("backward");
-            autodiff::Backward(graph.loss);
-            backward_seconds += span.ElapsedSeconds();
-          }
-          part.grads.reserve(params.size());
+    const bool moo_step = loss_weighting_ == LossWeighting::kMoo &&
+                          !graph.objectives.empty();
+    {
+      util::TraceSpan span("backward");
+      if (moo_step) {
+        // One reverse sweep per objective over the shared graph. Leaf
+        // grads are copied out after each sweep and the whole reachable
+        // graph is wiped (ClearGraphGrads) so sweeps never contaminate
+        // each other through shared intermediate nodes.
+        auto params = Parameters();
+        std::vector<std::vector<Tensor>> objective_grads;
+        objective_grads.reserve(graph.objectives.size());
+        for (auto& [oname, objective] : graph.objectives) {
+          CHECK(objective.defined())
+              << name_ << ": undefined MOO objective " << oname;
+          autodiff::Backward(objective);
+          std::vector<Tensor> grads;
+          grads.reserve(params.size());
           for (auto& p : params) {
             const Tensor& g = p.var.grad();
-            // A parameter the graph never reached has no grad; a zero
-            // tensor keeps the fold shape-stable.
-            part.grads.push_back(g.numel() > 0
-                                     ? g
-                                     : Tensor(p.var.rows(), p.var.cols()));
-            p.var.ZeroGrad();
+            grads.push_back(g.numel() > 0
+                                ? g
+                                : Tensor(p.var.rows(), p.var.cols()));
           }
-        }
-        part.buffer_deltas.reserve(buffers.size());
-        for (size_t b = 0; b < buffers.size(); ++b) {
-          Tensor delta = *buffers[b].tensor;
-          const float* pre = pre_buffers[b].data();
-          float* out = delta.data();
-          for (int64_t k = 0; k < delta.numel(); ++k) out[k] -= pre[k];
-          part.buffer_deltas.push_back(std::move(delta));
-        }
-        if (!beta_recorded) {
-          CHECK(graph.beta.defined())
-              << name_ << "::BuildBatch returned undefined beta";
-          step_beta = graph.beta.value();
-          beta_recorded = true;
-        }
-        return part;
-      };
-      DistStepPartial local = util::TreeFold<DistStepPartial>(
-          dist_->shard_begin, dist_->shard_end, shard_partial,
-          CombineDistPartials);
-      // The base streams advance only through the epoch shuffles (which
-      // every rank replays identically); shard draws never touch them.
-      for (size_t j = 0; j < streams.size(); ++j) {
-        streams[j]->RestoreState(base_states[j]);
-      }
-      util::StatusOr<DistStepPartial> exchanged =
-          dist_->allreduce
-              ? dist_->allreduce(global_step, std::move(local))
-              : util::StatusOr<DistStepPartial>(std::move(local));
-      if (!exchanged.ok()) return stop_early(exchanged.status());
-      DistStepPartial combined = std::move(exchanged).value();
-      CHECK(!combined.empty) << name_ << ": empty distributed step";
-      const bool moo_step = !objective_names.empty();
-      CHECK_EQ(combined.grads.size(), moo_step
-                                          ? objective_names.size() *
-                                                params.size()
-                                          : params.size());
-      CHECK_EQ(combined.buffer_deltas.size(), buffers.size());
-
-      batch_loss = combined.loss;
-      step_components = std::move(combined.components);
-      if (moo_step) {
-        // Weights from the *globally folded* per-objective gradients, so
-        // every rank computes identical weights and the merged update
-        // stays process-count-invariant.
-        std::vector<std::vector<Tensor>> objective_grads(
-            objective_names.size());
-        for (size_t k = 0; k < objective_names.size(); ++k) {
-          objective_grads[k].reserve(params.size());
-          for (size_t i = 0; i < params.size(); ++i) {
-            objective_grads[k].push_back(
-                std::move(combined.grads[k * params.size() + i]));
-          }
+          objective_grads.push_back(std::move(grads));
+          autodiff::ClearGraphGrads(objective);
         }
         const std::vector<double> weights =
             MultiObjectiveWeights(objective_grads);
-        std::vector<Tensor> merged;
-        merged.reserve(params.size());
         for (size_t i = 0; i < params.size(); ++i) {
-          Tensor g(params[i].var.rows(), params[i].var.cols());
+          Tensor combined(params[i].var.rows(), params[i].var.cols());
           for (size_t k = 0; k < weights.size(); ++k) {
-            g.AddScaledInPlace(objective_grads[k][i],
-                               static_cast<float>(weights[k]));
+            combined.AddScaledInPlace(objective_grads[k][i],
+                                      static_cast<float>(weights[k]));
           }
-          merged.push_back(std::move(g));
+          params[i].var.node()->grad = std::move(combined);
         }
-        combined.grads = std::move(merged);
         for (size_t k = 0; k < weights.size(); ++k) {
-          step_components.emplace_back("moo_w_" + objective_names[k],
-                                       weights[k]);
+          step_components.emplace_back(
+              "moo_w_" + graph.objectives[k].first, weights[k]);
         }
+      } else {
+        autodiff::Backward(graph.loss);
       }
-      // Chaos: as below; the injector schedule is replica-invariant, so
-      // every rank sees the same corrupted step.
-      if (faults.ShouldFail("train.loss_corrupt")) {
-        batch_loss = std::numeric_limits<double>::quiet_NaN();
-      }
-      // One batch-norm update with the mean shard statistic: buffer =
-      // pre + (fold of per-shard deltas) / num_shards. A power-of-two
-      // grid makes the scale exact.
-      const float inv_shards = 1.0f / static_cast<float>(num_shards);
-      for (size_t b = 0; b < buffers.size(); ++b) {
-        Tensor& dst = *buffers[b].tensor;
-        dst = pre_buffers[b];
-        const float* delta = combined.buffer_deltas[b].data();
-        float* out = dst.data();
-        for (int64_t k = 0; k < dst.numel(); ++k) {
-          out[k] += delta[k] * inv_shards;
-        }
-      }
-
-      // Guard rail 1, on the combined loss. Gradients are already safely
-      // copied out and zeroed, so a trip only needs the rollback (which
-      // also restores the buffers written above).
-      if (guard_rails_armed_) {
-        const char* bad = nullptr;
-        if (guard_rails_.check_nonfinite && !std::isfinite(batch_loss)) {
-          bad = "non-finite batch loss";
-        } else if (guard_rails_.loss_spike_factor > 0.0 &&
-                   last_epoch_loss > 0.0 &&
-                   batch_loss >
-                       guard_rails_.loss_spike_factor * last_epoch_loss) {
-          bad = "batch loss spike";
-        }
-        if (bad != nullptr) {
-          if (guard_tripped(bad)) {
-            return stop_early(util::Status::DataLoss(
-                name_ + ": " + bad + " at step " +
-                std::to_string(global_step) + " with the rollback budget (" +
-                std::to_string(guard_rails_.max_rollbacks) + ") exhausted"));
-          }
-          continue;
-        }
-      }
-
-      // Every rank applies the identical combined gradients, so the
-      // replicas' parameters stay bitwise-synchronized without any
-      // parameter broadcast.
-      {
-        util::TraceSpan span("optimizer");
-        for (size_t i = 0; i < params.size(); ++i) {
-          params[i].var.node()->grad = combined.grads[i];
-        }
-        const float grad_norm = nn::ClipGradNorm(params, config_.grad_clip);
-        grad_bad = guard_rails_armed_ && guard_rails_.check_nonfinite &&
-                   !std::isfinite(grad_norm);
-        if (!grad_bad) adam.Step(params);
-        for (auto& p : params) p.var.ZeroGrad();
-        optimizer_seconds += span.ElapsedSeconds();
-      }
-    } else {
-      BatchGraph graph;
-      {
-        util::TraceSpan span("forward");
-        graph = BuildBatch(batch);
-        forward_seconds += span.ElapsedSeconds();
-      }
-      CHECK(graph.loss.defined());
-      batch_loss = graph.loss.value().scalar();
-      if (!graph.beta.defined()) {
-        // Models must expose beta; guard against subclass bugs early.
-        LOG(FATAL) << name_ << "::BuildBatch returned undefined beta";
-      }
-      // The beta this step's loss was computed from: the tape evaluated it
-      // eagerly in BuildBatch, so adam.Step() below cannot change it.
-      step_beta = graph.beta.value();
-      // Chaos: pretend the forward pass diverged. Checked by the guard
-      // rails below exactly like an organic NaN.
-      if (faults.ShouldFail("train.loss_corrupt")) {
-        batch_loss = std::numeric_limits<double>::quiet_NaN();
-      }
-
-      // Guard rail 1: the batch loss, inspected before any state mutates.
-      if (guard_rails_armed_) {
-        const char* bad = nullptr;
-        if (guard_rails_.check_nonfinite && !std::isfinite(batch_loss)) {
-          bad = "non-finite batch loss";
-        } else if (guard_rails_.loss_spike_factor > 0.0 &&
-                   last_epoch_loss > 0.0 &&
-                   batch_loss >
-                       guard_rails_.loss_spike_factor * last_epoch_loss) {
-          bad = "batch loss spike";
-        }
-        if (bad != nullptr) {
-          if (guard_tripped(bad)) {
-            return stop_early(util::Status::DataLoss(
-                name_ + ": " + bad + " at step " +
-                std::to_string(global_step) + " with the rollback budget (" +
-                std::to_string(guard_rails_.max_rollbacks) + ") exhausted"));
-          }
-          continue;
-        }
-      }
-
-      const bool moo_step = loss_weighting_ == LossWeighting::kMoo &&
-                            !graph.objectives.empty();
-      {
-        util::TraceSpan span("backward");
-        if (moo_step) {
-          // One reverse sweep per objective over the shared graph. Leaf
-          // grads are copied out after each sweep and the whole reachable
-          // graph is wiped (ClearGraphGrads) so sweeps never contaminate
-          // each other through shared intermediate nodes.
-          auto params = Parameters();
-          std::vector<std::vector<Tensor>> objective_grads;
-          objective_grads.reserve(graph.objectives.size());
-          for (auto& [oname, objective] : graph.objectives) {
-            CHECK(objective.defined())
-                << name_ << ": undefined MOO objective " << oname;
-            autodiff::Backward(objective);
-            std::vector<Tensor> grads;
-            grads.reserve(params.size());
-            for (auto& p : params) {
-              const Tensor& g = p.var.grad();
-              grads.push_back(g.numel() > 0
-                                  ? g
-                                  : Tensor(p.var.rows(), p.var.cols()));
-            }
-            objective_grads.push_back(std::move(grads));
-            autodiff::ClearGraphGrads(objective);
-          }
-          const std::vector<double> weights =
-              MultiObjectiveWeights(objective_grads);
-          for (size_t i = 0; i < params.size(); ++i) {
-            Tensor combined(params[i].var.rows(), params[i].var.cols());
-            for (size_t k = 0; k < weights.size(); ++k) {
-              combined.AddScaledInPlace(objective_grads[k][i],
-                                        static_cast<float>(weights[k]));
-            }
-            params[i].var.node()->grad = std::move(combined);
-          }
-          for (size_t k = 0; k < weights.size(); ++k) {
-            step_components.emplace_back(
-                "moo_w_" + graph.objectives[k].first, weights[k]);
-          }
-        } else {
-          autodiff::Backward(graph.loss);
-        }
-        backward_seconds += span.ElapsedSeconds();
-      }
-      // Guard rail 2: the pre-clip gradient norm. A non-finite norm skips
-      // the Adam step (which would poison the moments), then rolls back.
-      {
-        util::TraceSpan span("optimizer");
-        auto params = Parameters();
-        const float grad_norm = nn::ClipGradNorm(params, config_.grad_clip);
-        grad_bad = guard_rails_armed_ && guard_rails_.check_nonfinite &&
-                   !std::isfinite(grad_norm);
-        if (!grad_bad) adam.Step(params);
-        for (auto& p : params) p.var.ZeroGrad();
-        optimizer_seconds += span.ElapsedSeconds();
-      }
-      for (const auto& [cname, value] : graph.loss_components) {
-        step_components.emplace_back(cname, static_cast<double>(value));
-      }
+      backward_seconds += span.ElapsedSeconds();
+    }
+    // Guard rail 2: the pre-clip gradient norm. A non-finite norm skips
+    // the Adam step (which would poison the moments), then rolls back.
+    bool grad_bad = false;
+    {
+      util::TraceSpan span("optimizer");
+      auto params = Parameters();
+      const float grad_norm = nn::ClipGradNorm(params, config_.grad_clip);
+      grad_bad = guard_rails_armed_ && guard_rails_.check_nonfinite &&
+                 !std::isfinite(grad_norm);
+      if (!grad_bad) adam.Step(params);
+      for (auto& p : params) p.var.ZeroGrad();
+      optimizer_seconds += span.ElapsedSeconds();
+    }
+    for (const auto& [cname, value] : graph.loss_components) {
+      step_components.emplace_back(cname, static_cast<double>(value));
     }
 
     if (grad_bad) {
@@ -738,7 +440,12 @@ TrainStats NeuralTopicModel::RunTrainingLoop(const text::BowCorpus& corpus,
     for (const auto& [cname, value] : step_components) {
       component_sums[cname] += value;
     }
-    if (step_beta.numel() > 0) final_beta_ = step_beta;
+    // The beta this step's loss was computed from: the tape evaluated it
+    // eagerly in BuildBatch, so adam.Step() above did not change it.
+    final_beta_ = graph.beta.value();
+    // Hand the step's tape back to the arena before the epoch-end and
+    // checkpoint bookkeeping below allocates.
+    graph = BatchGraph();
     ++global_step;
 
     const bool epoch_end = step_in_epoch == steps_per_epoch - 1;
@@ -778,10 +485,8 @@ TrainStats NeuralTopicModel::RunTrainingLoop(const text::BowCorpus& corpus,
     // Auto-checkpoint, then the kill site: a fired "train.kill" stands in
     // for a crash, so the last checkpoint written is exactly what a
     // recovering process finds on disk.
-    // The cadence deliberately ignores whether a sink is attached: in
-    // distributed training only the primary rank writes checkpoints, but
-    // every rank must refresh its guard-rail snapshot at the same steps
-    // or a rollback would desynchronize the replicas.
+    // The cadence ignores whether a sink is attached: the guard-rail
+    // snapshot refreshes at checkpoint steps either way.
     const bool checkpoint_due =
         checkpoint_every_steps_ > 0
             ? global_step % checkpoint_every_steps_ == 0

@@ -92,59 +92,6 @@ struct TrainingState {
   double last_epoch_loss = 0.0;
 };
 
-// --- Distributed data-parallel training (DESIGN.md §13) -----------------
-
-// One block of a distributed training step: the canonical tree fold
-// (util::TreeFold) of a contiguous shard range's losses, per-shard loss
-// components, gradients, and batch-norm buffer deltas. Ranks exchange
-// these through dist::Communicator; every replica then applies the same
-// global fold result, so the optimizer trajectory is bitwise-identical at
-// any worker count.
-struct DistStepPartial {
-  // True for the identity element (an empty shard range); combining with
-  // an empty partial returns the other side unchanged, which keeps the
-  // fold free of x + 0.0f artifacts (e.g. -0.0f + 0.0f = +0.0f).
-  bool empty = true;
-  double loss = 0.0;  // sum of shard losses, in tree order
-  // Summed named loss components, sorted by name.
-  std::vector<std::pair<std::string, double>> components;
-  std::vector<Tensor> grads;          // parallel to Parameters()
-  std::vector<Tensor> buffer_deltas;  // parallel to Buffers(): post - pre
-};
-
-// Canonical combine for the shard tree: left subtree + right subtree,
-// elementwise. Both sides must carry the same tensor shapes (they come
-// from the same model) unless one is empty.
-DistStepPartial CombineDistPartials(DistStepPartial left,
-                                    DistStepPartial right);
-
-// Everything RunTrainingLoop needs to run one rank of a data-parallel
-// group. The global batch of every step is cut into a FIXED grid of
-// `num_shards` contiguous shards (util::ShardRange -- a function of batch
-// size only, never of worker count); this rank computes shards
-// [shard_begin, shard_end), tree-folds them into a block partial, and
-// exchanges it through `allreduce`, which must return the canonical
-// global fold over all shards (or an error, which stops training with
-// interrupted stats). Every rank runs the full loop in lockstep --
-// identical shuffles, guard-rail decisions, and optimizer updates -- so
-// replicas stay bitwise-synchronized without parameter broadcasts.
-struct DistContext {
-  int num_shards = 4;  // the fixed shard grid S; invariant across workers
-  int rank = 0;
-  int world_size = 1;
-  int shard_begin = 0;  // owned shards: [shard_begin, shard_end)
-  int shard_end = 4;
-  // Folded into the per-(step, shard) derived RNG streams, so the noise a
-  // shard's forward pass draws is a pure function of (salt, stream index,
-  // step, shard) -- independent of which process computes the shard.
-  uint64_t rng_salt = 0;
-  using Allreduce = std::function<util::StatusOr<DistStepPartial>(
-      int step, DistStepPartial local)>;
-  // Null means world_size == 1: the local block fold IS the global fold.
-  Allreduce allreduce;
-  bool primary() const { return rank == 0; }
-};
-
 // Numeric guard rails for the training loop. Contrastive objectives can
 // destabilize ELBO optimization (Nguyen & Luu 2021); instead of aborting
 // on a NaN, the loop detects bad steps and rolls back to the last good
@@ -180,7 +127,7 @@ enum class LossWeighting {
 // accumulated serially in double over tensors in list order and elements
 // in row-major order -- the same canonical-reduction rule the SIMD kernels
 // follow (DESIGN.md §12) -- so the weights, and with them the whole MOO
-// optimizer trajectory, are bitwise thread/backend/process-invariant.
+// optimizer trajectory, are bitwise thread/backend-invariant.
 std::vector<double> MultiObjectiveWeights(
     const std::vector<std::vector<Tensor>>& objective_grads);
 
@@ -333,16 +280,6 @@ class NeuralTopicModel : public TopicModel {
     guard_rails_armed_ = true;
   }
 
-  // --- Distributed training (DESIGN.md §13) ----------------------------
-
-  // Attaches this model to one rank of a data-parallel group (not owned;
-  // must outlive training; null detaches). While attached, the training
-  // loop runs the sharded step path: per-shard forward/backward on
-  // derived RNG streams, block tree fold, allreduce, and a replicated
-  // optimizer step. Drive this through dist::DataParallelTrainer rather
-  // than directly.
-  void SetDistContext(const DistContext* context) { dist_ = context; }
-
   // --- Multi-objective weighting (DESIGN.md §17) -----------------------
 
   // Selects how the loop weighs BuildBatch's objectives. Deliberately NOT
@@ -374,7 +311,6 @@ class NeuralTopicModel : public TopicModel {
   CheckpointSink checkpoint_sink_;
   GuardRailOptions guard_rails_;
   bool guard_rails_armed_ = false;
-  const DistContext* dist_ = nullptr;  // not owned
   LossWeighting loss_weighting_ = LossWeighting::kFixed;
 };
 

@@ -39,53 +39,6 @@ inline int64_t FixedGridChunks(int64_t range, int64_t grain) {
   return (range + grain - 1) / grain;
 }
 
-// Smallest power of two >= n (n >= 1).
-inline int64_t RoundUpPow2(int64_t n) {
-  CHECK_GE(n, 1);
-  int64_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-// Fixed shard grid: item range owned by `shard` of `num_shards` when
-// `total` items are cut into contiguous floor-boundary ranges,
-//   [ total*s/num_shards, total*(s+1)/num_shards ).
-// A pure function of (total, num_shards) -- never of worker or thread
-// count -- so any assignment of shards to workers computes the same
-// per-shard work. Ragged tails are allowed and shards may be empty when
-// total < num_shards.
-inline std::pair<int64_t, int64_t> ShardRange(int64_t total, int64_t shard,
-                                              int64_t num_shards) {
-  CHECK_GT(num_shards, 0);
-  CHECK_GE(shard, 0);
-  CHECK_LT(shard, num_shards);
-  CHECK_GE(total, 0);
-  return {total * shard / num_shards, total * (shard + 1) / num_shards};
-}
-
-// Canonical tree fold over leaves [lo, hi): splits at the
-// round-up-power-of-two midpoint, recursing left and right, so the fold
-// shape is a pure function of the index range. Because the split points
-// are power-of-two aligned, the fold over any power-of-two aligned block
-// is an exact subtree of the fold over the whole range: worker-local
-// folds composed with a fold over the per-worker block results reproduce
-// the flat global fold bit for bit. This is the process-count-invariance
-// contract of the distributed trainer (DESIGN.md §13), and the same
-// discipline as the mod-8 block trees inside the SIMD kernels.
-//   leaf(i)            -> T   produces leaf i's value;
-//   combine(left, right) -> T  folds two subtrees (left subtree first).
-template <typename T, typename LeafFn, typename CombineFn>
-T TreeFold(int64_t lo, int64_t hi, const LeafFn& leaf,
-           const CombineFn& combine) {
-  CHECK_LT(lo, hi);
-  const int64_t n = hi - lo;
-  if (n == 1) return leaf(lo);
-  const int64_t half = RoundUpPow2(n) / 2;
-  T left = TreeFold<T>(lo, lo + half, leaf, combine);
-  T right = TreeFold<T>(lo + half, hi, leaf, combine);
-  return combine(std::move(left), std::move(right));
-}
-
 // Deterministic map-reduce over [begin, end).
 //   chunk_fn(lo, hi) -> T   computes the partial for one grid chunk;
 //   combine(&acc, part)     folds a partial into an accumulator (called in

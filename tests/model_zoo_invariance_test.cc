@@ -5,8 +5,7 @@
 // a time:
 //
 //   * thread-count invariance (DESIGN.md "Parallelism & determinism"),
-//   * SIMD-backend invariance (scalar vs. the best supported backend),
-//   * process-count invariance under dist::DataParallelTrainer (§13).
+//   * SIMD-backend invariance (scalar vs. the best supported backend).
 //
 // Each model trains 2 epochs on the 20NG-sim preset under a grid of
 // {threads} x {backend} variants; loss, beta, and test theta must be
@@ -15,31 +14,18 @@
 // apply.
 
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/model_zoo.h"
-#include "dist/trainer.h"
 #include "embed/word_embeddings.h"
 #include "tensor/backend.h"
 #include "text/synthetic.h"
 #include "topicmodel/neural_base.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-
-// fork() under ThreadSanitizer trips on the sanitizer's own background
-// threads; the multiprocess legs are skipped there (same guard as
-// dist_determinism_test.cc).
-#if defined(__SANITIZE_THREAD__)
-#define CT_SKIP_FORK_TESTS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CT_SKIP_FORK_TESTS 1
-#endif
-#endif
 
 namespace contratopic {
 namespace {
@@ -165,94 +151,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("etm", "clntm", "tsctm", "contratopic"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
-    });
-
-// ---------------------------------------------------------------------------
-// Process-count invariance: the contrastive trio through the distributed
-// trainer at 1 and 2 workers on one fixed shard grid. (The full zoo rides
-// the thread/backend grid above; the fork-based legs are kept to
-// the new models plus the reference model to bound suite wall-clock.)
-// ---------------------------------------------------------------------------
-
-struct DistCase {
-  std::string model;
-  topicmodel::LossWeighting weighting = topicmodel::LossWeighting::kFixed;
-};
-
-ZooRun TrainZooDistributed(const DistCase& c, int workers) {
-  const text::SyntheticConfig config = text::Preset20NG(0.1);
-  text::SyntheticDataset dataset = text::GenerateSynthetic(config);
-  const text::BowCorpus reference =
-      text::GenerateReferenceCorpus(config, dataset.train.vocab());
-  const embed::WordEmbeddings embeddings =
-      embed::WordEmbeddings::Train(reference, [] {
-        embed::EmbeddingConfig c;
-        c.dimension = 16;
-        return c;
-      }());
-
-  topicmodel::TrainConfig tc;
-  tc.num_topics = 8;
-  tc.epochs = 2;
-  tc.batch_size = 128;
-  tc.encoder_hidden = 32;
-  tc.encoder_layers = 1;
-  auto model = core::CreateModel(c.model, tc, embeddings);
-  auto* neural = dynamic_cast<topicmodel::NeuralTopicModel*>(model.get());
-  CHECK(neural != nullptr) << c.model;
-  neural->SetLossWeighting(c.weighting);
-
-  dist::Options options;
-  options.workers = workers;
-  options.num_shards = 4;
-  dist::DataParallelTrainer trainer(neural, options);
-  util::StatusOr<topicmodel::TrainStats> stats = trainer.Train(dataset.train);
-  CHECK(stats.ok()) << stats.status().ToString();
-  CHECK(stats->status.ok()) << stats->status.ToString();
-
-  ZooRun run;
-  run.final_loss = static_cast<float>(stats->final_loss);
-  run.beta = model->Beta();
-  run.theta = model->InferTheta(dataset.test);
-  return run;
-}
-
-std::string DistCaseName(const DistCase& c) {
-  return c.model + (c.weighting == topicmodel::LossWeighting::kMoo ? "_moo"
-                                                                   : "_fixed");
-}
-
-// gtest prints a parameter into each ctest name; without this it dumps the
-// struct's raw bytes, heap pointer included, so names changed per build.
-void PrintTo(const DistCase& c, std::ostream* os) { *os << DistCaseName(c); }
-
-class DistZooInvarianceTest : public ::testing::TestWithParam<DistCase> {};
-
-TEST_P(DistZooInvarianceTest, WorkerCountIsBitwiseInvariant) {
-#ifdef CT_SKIP_FORK_TESTS
-  GTEST_SKIP() << "fork-based legs are disabled under ThreadSanitizer";
-#else
-  const DistCase c = GetParam();
-  const ZooRun one = TrainZooDistributed(c, 1);
-  ASSERT_GT(one.beta.numel(), 0);
-  const ZooRun two = TrainZooDistributed(c, 2);
-  EXPECT_EQ(one.final_loss, two.final_loss);
-  ExpectBitwiseEqual(one.beta, two.beta);
-  ExpectBitwiseEqual(one.theta, two.theta);
-#endif
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ContrastiveZoo, DistZooInvarianceTest,
-    ::testing::Values(DistCase{"clntm", topicmodel::LossWeighting::kFixed},
-                      DistCase{"tsctm", topicmodel::LossWeighting::kFixed},
-                      DistCase{"contratopic",
-                               topicmodel::LossWeighting::kFixed},
-                      DistCase{"clntm", topicmodel::LossWeighting::kMoo},
-                      DistCase{"contratopic",
-                               topicmodel::LossWeighting::kMoo}),
-    [](const ::testing::TestParamInfo<DistCase>& info) {
-      return DistCaseName(info.param);
     });
 
 // ---------------------------------------------------------------------------

@@ -317,8 +317,13 @@ bool TensorsBitwiseEqual(const Tensor& a, const Tensor& b) {
 
 // Train a model, kill it mid-run right after an auto-checkpoint, rebuild
 // from the file, resume -- and require the resumed run's beta, theta, and
-// final loss to be bitwise-identical to an uninterrupted run's.
-void RunCrashRecovery(int num_threads, const std::string& model_name) {
+// final loss to be bitwise-identical to an uninterrupted run's. The
+// reference and the killed run train on `num_threads` pool threads; the
+// resume runs on `resume_threads` (-1: the same count), so a restart may
+// change the degree of parallelism without changing the bits.
+void RunCrashRecovery(int num_threads, const std::string& model_name,
+                      int resume_threads = -1) {
+  if (resume_threads < 0) resume_threads = num_threads;
   SharedFixture& shared = Shared();
   const text::Vocabulary& vocab = shared.dataset.train.vocab();
   util::FaultInjector& faults = util::FaultInjector::Global();
@@ -326,9 +331,9 @@ void RunCrashRecovery(int num_threads, const std::string& model_name) {
   faults.Reset();
 
   const TrainConfig config = TinyConfig();
+  // Mirrors text::BatchIterator::batches_per_epoch (floor, drop-last).
   const int steps_per_epoch =
-      (shared.dataset.train.num_docs() + config.batch_size - 1) /
-      config.batch_size;
+      std::max(1, shared.dataset.train.num_docs() / config.batch_size);
   const int total_steps = config.epochs * steps_per_epoch;
   // Checkpoint mid-epoch, then crash two steps after the first one, so
   // the resume replays a partially accumulated epoch.
@@ -344,7 +349,7 @@ void RunCrashRecovery(int num_threads, const std::string& model_name) {
   // Interrupted run: auto-checkpoint to disk, injected kill.
   const std::string path = ::testing::TempDir() + "/crash_recovery_" +
                            model_name + "_" + std::to_string(num_threads) +
-                           ".ckpt";
+                           "_" + std::to_string(resume_threads) + ".ckpt";
   auto interrupted_owner =
       core::CreateModel(model_name, config, shared.embeddings);
   auto* interrupted =
@@ -367,6 +372,7 @@ void RunCrashRecovery(int num_threads, const std::string& model_name) {
 
   // Recovery: read the checkpoint a "fresh process" would find, rebuild
   // the architecture, and resume the remaining steps.
+  util::ThreadPool::SetGlobalNumThreads(resume_threads);
   util::StatusOr<serve::Checkpoint> ckpt = serve::ReadCheckpoint(path);
   ASSERT_TRUE(ckpt.ok()) << ckpt.status();
   ASSERT_TRUE(ckpt->has_training_state);
@@ -375,6 +381,8 @@ void RunCrashRecovery(int num_threads, const std::string& model_name) {
   EXPECT_GT(ckpt->training_state.next_global_step, 0);
   EXPECT_LE(ckpt->training_state.next_global_step, kill_step);
   EXPECT_EQ(ckpt->training_state.next_global_step % ckpt_every, 0);
+  EXPECT_GT(ckpt->training_state.epoch_loss_sum, 0.0)
+      << "the resume should start mid-epoch";
   util::StatusOr<std::unique_ptr<NeuralTopicModel>> resumed =
       serve::ResumeModel(*ckpt);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
@@ -398,6 +406,22 @@ TEST(FaultToleranceTest, CrashRecoveryIsBitwiseIdenticalSingleThreaded) {
 
 TEST(FaultToleranceTest, CrashRecoveryIsBitwiseIdenticalFourThreads) {
   RunCrashRecovery(4, "etm");
+}
+
+// A run killed on one pool size and resumed on another still ends on the
+// uninterrupted run's bits, in both directions.
+TEST(FaultToleranceTest, CrashAtFourThreadsResumesBitwiseAtOne) {
+  for (const char* model : {"etm", "contratopic"}) {
+    SCOPED_TRACE(model);
+    RunCrashRecovery(4, model, /*resume_threads=*/1);
+  }
+}
+
+TEST(FaultToleranceTest, CrashAtOneThreadResumesBitwiseAtFour) {
+  for (const char* model : {"etm", "contratopic"}) {
+    SCOPED_TRACE(model);
+    RunCrashRecovery(1, model, /*resume_threads=*/4);
+  }
 }
 
 // Regression: ContraTopic wraps a backbone that is itself a
